@@ -1,7 +1,7 @@
 """REP004 — spawn-safe process-pool submission.
 
-The engine's process executors use the *spawn* context (PR 3: workers
-must not inherit server connection fds), and spawn pickles every
+The worker pool starts its workers from a fork server (they must not
+inherit server connection fds), and like *spawn* that pickles every
 submitted callable.  Lambdas and nested functions are not picklable, so
 code that works under fork explodes the moment the context flips —
 exactly the class of bug that only fires on the platform you did not

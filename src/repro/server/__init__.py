@@ -7,9 +7,6 @@ turns a *stream of requests* into a *stream of results*:
   executor that yields per-instance :class:`SolveEvent` s as they
   complete, with bounded in-flight backpressure and per-instance
   cancellation;
-* :mod:`racing` — intra-instance racing of the exact backends with
-  cooperative loser cancellation (``race="concurrent"`` on the
-  portfolio/batch/engine entry points);
 * :mod:`shards` — a hash-prefix-sharded, ``fcntl``-locked disk tier so
   concurrent runners on one host share a result cache safely
   (``ResultCache.sharded``);
@@ -24,18 +21,20 @@ turns a *stream of requests* into a *stream of results*:
   rate, and per-solver win rates.  The daemon binds the same front to
   a unix socket, so both deployments share one stats surface.
 
-The serving stack is fault-tolerant end to end: worker death respawns
-the pool and re-dispatches only the lost cases (``worker_crashed``
-events, results marked ``status="retried"``), corrupt cache shards are
-quarantined and read cold, clients retry with
-:class:`repro.server.client.RetryPolicy` (capped backoff + jitter,
-``retry_after`` hints, reconnect-and-resume), sustained overload flips
-the front to heuristic-only *degraded* serving (``health`` op:
-``ready`` / ``degraded`` / ``draining``), and a vanished client has
-its in-flight solves cancelled.  The failure-class -> event-code ->
-client-behavior table lives in ``docs/failure-semantics.md``; the
-fault-injection harness driving the chaos tests is
-:mod:`repro.service.faults`.
+The serving stack is fault-tolerant end to end: the process executor
+runs on :class:`repro.service.pool.WorkerPool`, the same bulkhead pool
+as ``solve_batch``, so a worker death respawns one slot and
+re-dispatches only the case it was running (a ``worker_crashed``
+event, then ``done`` marked ``retried``; a second death ends the case
+``failed``), corrupt cache shards are quarantined and read cold,
+clients retry with :class:`repro.server.client.RetryPolicy` (capped
+backoff + jitter, ``retry_after`` hints, reconnect-and-resume),
+sustained overload flips the front to heuristic-only *degraded*
+serving (``health`` op: ``ready`` / ``degraded`` / ``draining``), and a
+vanished client has its in-flight solves cancelled.  The failure-class
+-> event-code -> client-behavior table lives in
+``docs/failure-semantics.md``; the fault-injection harness driving the
+chaos tests is :mod:`repro.service.faults`.
 """
 
 from repro.server.client import (
@@ -57,7 +56,6 @@ from repro.server.engine import (
     TERMINAL_EVENTS,
 )
 from repro.server.gateway import SolveGateway, StreamFront
-from repro.server.racing import RaceToken, race_members
 from repro.server.shards import ShardedDiskTier, quarantine_file
 from repro.server.tenancy import (
     AdmissionController,
@@ -86,7 +84,6 @@ __all__ = [
     "HEALTH_READY",
     "MEMBER_FINISHED",
     "QUEUED",
-    "RaceToken",
     "RequestRejected",
     "RetryPolicy",
     "STARTED",
@@ -103,5 +100,4 @@ __all__ = [
     "atomic_write_json",
     "locked_file",
     "quarantine_file",
-    "race_members",
 ]

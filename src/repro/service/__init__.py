@@ -1,8 +1,10 @@
 """Portfolio solver service: batched, parallel, cached EBMF solving.
 
 The layer between the solver library and traffic: per-instance solver
-races with provenance (:mod:`portfolio`), batch fan-out over a process
-pool (:mod:`batch`), a content-addressed result cache (:mod:`cache`),
+races with provenance (:mod:`portfolio`) and intra-instance racing of
+the exact backends (:mod:`racing`), batch fan-out (:mod:`batch`) over
+the crash-recovering worker pool the serving engine shares
+(:mod:`pool`), a content-addressed result cache (:mod:`cache`),
 shared wall-clock accounting (:mod:`budget`), the solver-config schema
 version that keys caches and baselines (:mod:`schema`), and per-solver
 win accounting shared with the server metrics ops (:mod:`stats`).

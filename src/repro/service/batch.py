@@ -1,4 +1,4 @@
-"""Batched portfolio solving over a process pool.
+"""Batched portfolio solving over the crash-recovering worker pool.
 
 ``solve_batch`` fans a list of instances across ``workers`` processes,
 checking the result cache first and writing fresh results back.  Every
@@ -11,10 +11,10 @@ Workers exchange plain picklable payloads (row masks in, result dicts
 out) rather than live objects, which keeps the pool start-method
 agnostic and the records trivially JSON-able.
 
-Each worker slot is its own single-process executor (a bulkhead): when
-a worker dies — OOM kill, segfaulting native dep, fault injection —
-only the case that worker was solving is lost.  The slot is respawned,
-the lost case re-dispatched, and its record marked
+``workers > 1`` runs the misses on a :class:`repro.service.pool.WorkerPool`
+(one bulkhead process per slot): when a worker dies — OOM kill,
+segfaulting native dep, fault injection — only the case that worker
+was solving is lost.  It is re-dispatched and its record marked
 ``status="retried"``; every other case's provenance is untouched.  A
 case that kills its worker twice is a poison pill and fails the batch
 with a :class:`SolverError` naming it.
@@ -22,12 +22,9 @@ with a :class:`SolverError` naming it.
 
 from __future__ import annotations
 
-import concurrent.futures
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     Optional,
@@ -42,6 +39,7 @@ from repro.core.exceptions import SolverError
 from repro.service import faults
 from repro.service.budget import BudgetLike, PortfolioBudget
 from repro.service.cache import ResultCache, matrix_key
+from repro.service.pool import CrashCallback, WorkerPool
 from repro.service.schema import SOLVER_SCHEMA_VERSION
 from repro.service.portfolio import (
     DEFAULT_PORTFOLIO,
@@ -146,12 +144,6 @@ def solve_context(
 STATUS_OK = "ok"
 STATUS_RETRIED = "retried"
 
-WORKER_CRASHED = "worker_crashed"
-"""Structured fault-event kind emitted when an executor worker dies."""
-
-FaultCallback = Callable[[Dict[str, Any]], None]
-"""Hook invoked with each structured fault event (``worker_crashed``)."""
-
 
 @dataclass
 class BatchRecord:
@@ -204,7 +196,7 @@ def _solve_payload(
         str,  # race mode
     ],
     on_member: Optional[Any] = None,
-) -> Tuple[str, Dict[str, Any]]:
+) -> Dict[str, Any]:
     (
         case_id,
         row_masks,
@@ -229,159 +221,7 @@ def _solve_payload(
         race=race,
         on_member=on_member,
     )
-    return case_id, result_to_dict(result)
-
-
-def _solve_payload_streaming(
-    payload: Tuple[Any, ...],
-    events: Any,
-    tag: str,
-) -> Tuple[str, Dict[str, Any]]:
-    """:func:`_solve_payload` plus live member events on a shared queue.
-
-    ``events`` is a ``multiprocessing.Manager`` queue owned by
-    :class:`repro.server.engine.AsyncSolveEngine`; each member outcome
-    is posted as ``("member", tag, outcome_dict)`` the moment it lands,
-    and a final ``("eof", tag, None)`` marker promises the parent that
-    no more member events for this solve are in flight — the engine
-    holds the terminal ``done`` event until it sees the marker, so
-    member events can never arrive after their case's terminal event.
-    ``tag`` (not ``case_id``) routes events, so concurrent streams that
-    reuse case ids cannot cross wires.  Queue failures are swallowed:
-    a parent that went away must not kill a solve already paid for.
-    """
-
-    def on_member(outcome: Any) -> None:
-        try:
-            events.put(("member", tag, outcome.as_dict()))
-        # A vanished parent's queue must not kill a solve already paid
-        # for (see docstring).
-        # repro-lint: disable=REP007 (vanished parent queue)
-        except Exception:
-            pass
-
-    try:
-        return _solve_payload(payload, on_member=on_member)
-    finally:
-        try:
-            events.put(("eof", tag, None))
-        # Same: the parent may be gone; the result still returns
-        # through the executor.
-        # repro-lint: disable=REP007 (vanished parent queue)
-        except Exception:
-            pass
-
-
-# ----------------------------------------------------------------------
-# Crash-recovering dispatch
-# ----------------------------------------------------------------------
-MAX_DISPATCHES_PER_CASE = 2
-"""A case may crash its worker once and be retried; a second crash is
-a poison pill and fails the batch."""
-
-
-def _fresh_slot() -> concurrent.futures.ProcessPoolExecutor:
-    """One bulkhead: a single-worker executor, default (fork) context.
-
-    Single-worker on purpose — ``BrokenProcessPool`` poisons the whole
-    executor it strikes, so one executor per worker slot confines a
-    crash to exactly the case that worker was running instead of
-    failing every in-flight future on a shared pool.
-    """
-    return concurrent.futures.ProcessPoolExecutor(max_workers=1)
-
-
-def _solve_pending_with_recovery(
-    pending: Sequence[Tuple[Any, ...]],
-    workers: int,
-    on_fault: Optional[FaultCallback],
-) -> Tuple[Dict[str, Dict[str, Any]], Set[str]]:
-    """Run payloads over ``workers`` bulkhead slots, surviving crashes.
-
-    Returns ``(case_id -> result dict, case_ids retried)``.  A dead
-    worker (kill -9, OOM, fault injection) is detected as
-    ``BrokenProcessPool`` on its slot; the slot is respawned, the lost
-    payload re-queued, and a structured ``worker_crashed`` event handed
-    to ``on_fault``.  Ordinary solver exceptions propagate unchanged —
-    they are bugs to surface, not infrastructure faults to absorb.
-    """
-    results: Dict[str, Dict[str, Any]] = {}
-    retried: Set[str] = set()
-    queue: "deque[Tuple[Any, ...]]" = deque(pending)
-    slot_count = min(workers, len(pending))
-    slots: List[concurrent.futures.ProcessPoolExecutor] = [
-        _fresh_slot() for _ in range(slot_count)
-    ]
-    busy = [False] * slot_count
-    in_flight: Dict[
-        concurrent.futures.Future, Tuple[int, Tuple[Any, ...]]
-    ] = {}
-    dispatches: Dict[str, int] = {}
-
-    def top_up() -> None:
-        for index in range(slot_count):
-            if not busy[index] and queue:
-                payload = queue.popleft()
-                dispatches[payload[0]] = dispatches.get(payload[0], 0) + 1
-                in_flight[slots[index].submit(_solve_payload, payload)] = (
-                    index,
-                    payload,
-                )
-                busy[index] = True
-
-    try:
-        top_up()
-        while in_flight:
-            done, _ = concurrent.futures.wait(
-                in_flight, return_when=concurrent.futures.FIRST_COMPLETED
-            )
-            for future in done:
-                index, payload = in_flight.pop(future)
-                busy[index] = False
-                case_id = payload[0]
-                try:
-                    finished_id, result_dict = future.result()
-                except concurrent.futures.process.BrokenProcessPool:
-                    # The worker died under this case.  Respawn the
-                    # slot, disarm any injected one-shot kill so the
-                    # retry cannot die the same way, and re-dispatch.
-                    slots[index].shutdown(wait=False)
-                    slots[index] = _fresh_slot()
-                    faults.disarm("kill_worker_on_case")
-                    event = {
-                        "event": WORKER_CRASHED,
-                        "case_id": case_id,
-                        "dispatches": dispatches[case_id],
-                        "will_retry": (
-                            dispatches[case_id] < MAX_DISPATCHES_PER_CASE
-                        ),
-                    }
-                    if on_fault is not None:
-                        on_fault(event)
-                    if not event["will_retry"]:
-                        raise SolverError(
-                            f"case {case_id!r} crashed its worker "
-                            f"{dispatches[case_id]} times; giving up on "
-                            "the batch (poison instance?)"
-                        )
-                    retried.add(case_id)
-                    # Re-dispatch on the *respawned* slot, not the queue:
-                    # sibling slots hold workers forked while the kill
-                    # plan was still armed (fork children never see the
-                    # parent's disarm), so only the fresh worker is
-                    # guaranteed not to die on this case again.
-                    dispatches[case_id] += 1
-                    in_flight[
-                        slots[index].submit(_solve_payload, payload)
-                    ] = (index, payload)
-                    busy[index] = True
-                else:
-                    results[finished_id] = result_dict
-            top_up()
-    finally:
-        for slot in slots:
-            slot.shutdown(wait=False)
-    return results, retried
+    return result_to_dict(result)
 
 
 # ----------------------------------------------------------------------
@@ -396,25 +236,27 @@ def solve_batch(
     budget_per_member: Optional[float] = None,
     stop_when_optimal: bool = True,
     race: str = "sequential",
-    on_fault: Optional[FaultCallback] = None,
+    on_fault: Optional[CrashCallback] = None,
 ) -> List[BatchRecord]:
     """Solve every case with the portfolio, in input order.
 
     Cached instances are answered without touching the pool; misses are
-    solved (in-process for ``workers=1``, otherwise over per-worker
-    bulkhead process executors) and written back, and the cache's disk
-    tier is flushed once at the end.  Records come back in input order
-    regardless of completion order.  ``budget_per_instance`` caps one
-    instance's whole race, ``budget_per_member`` one solver within it;
-    ``race="concurrent"`` turns each instance's exact-backend slice
-    into a cancel-the-losers thread race (see
-    :mod:`repro.server.racing`).
+    solved (in-process for ``workers=1``, otherwise on a
+    :class:`~repro.service.pool.WorkerPool`) and written back, and the
+    cache's disk tier is flushed once at the end.  Records come back in
+    input order regardless of completion order.  ``budget_per_instance``
+    caps one instance's whole race, ``budget_per_member`` one solver
+    within it; ``race="concurrent"`` turns each instance's exact-backend
+    slice into a cancel-the-losers thread race (see
+    :mod:`repro.service.racing`).
 
     Worker death does not sink the batch: the lost case is re-solved on
     a respawned worker and its record comes back ``status="retried"``
     (same content — per-case seeding makes the retry byte-identical);
     ``on_fault`` receives a structured ``worker_crashed`` event per
-    crash.  See ``docs/failure-semantics.md``.
+    crash (on a pool thread).  A case that crashes its worker twice
+    raises the poison-pill :class:`SolverError` for the whole batch.
+    See ``docs/failure-semantics.md``.
     """
     if workers < 1:
         raise SolverError(f"workers must be >= 1, got {workers}")
@@ -477,15 +319,19 @@ def solve_batch(
     if pending:
         faults.resolve_kill_case([payload[0] for payload in pending])
         if workers == 1 or len(pending) == 1:
-            solved = [_solve_payload(payload) for payload in pending]
-            for case_id, payload in solved:
-                results[case_id] = result_from_dict(payload)
+            for payload in pending:
+                results[payload[0]] = result_from_dict(_solve_payload(payload))
         else:
-            solved_map, retried = _solve_pending_with_recovery(
-                pending, workers, on_fault
-            )
-            for case_id, payload in solved_map.items():
-                results[case_id] = result_from_dict(payload)
+            with WorkerPool(min(workers, len(pending))) as pool:
+                futures = [
+                    pool.submit(payload, on_crash=on_fault)
+                    for payload in pending
+                ]
+                for payload, future in zip(pending, futures):
+                    solved, was_retried = future.result()
+                    results[payload[0]] = result_from_dict(solved)
+                    if was_retried:
+                        retried.add(payload[0])
 
     if cache is not None:
         for item in items:

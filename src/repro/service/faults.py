@@ -19,15 +19,15 @@ overhead line).  Plans install three ways:
 * :func:`injected` — a context manager that restores the previous plan
   (what the chaos tests use);
 * the ``REPRO_FAULTS`` environment variable — a JSON object of plan
-  fields, parsed lazily on first seam check in each process.  Because
-  :func:`install` mirrors the plan into ``os.environ``, spawned
-  executor workers (which share no globals with the parent) see the
-  same plan; forked workers inherit the parent's global directly.
+  fields, parsed lazily on first seam check in each process (how tests
+  arm a subprocess, e.g. a ``python -m repro cache gc`` run).
 
-One-shot faults (worker kill, shard corruption) are *disarmed* by the
-recovery path that handles them (:func:`disarm` rewrites both the
-global and the env mirror), so a respawned worker does not die again on
-the retried case — recovery tests terminate instead of crash-looping.
+An installed plan stays in its process: pool workers get theirs from
+:class:`repro.service.pool.WorkerPool`, which ships :func:`active` with
+every task.  One-shot faults (worker kill, shard corruption) are
+*disarmed* by the recovery path that handles them, so the retried case,
+which ships the disarmed plan, does not die again — recovery tests
+terminate instead of crash-looping.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Any, Dict, Iterator, Optional, Sequence, Union
 from repro.core.exceptions import SolverError
 
 FAULTS_ENV = "REPRO_FAULTS"
-"""Environment mirror of the installed plan (crosses spawn boundaries)."""
+"""Environment variable a process loads its initial plan from."""
 
 WORKER_KILL_EXIT_CODE = 87
 """Exit status of a fault-killed worker (distinctive in pool autopsies)."""
@@ -126,32 +126,22 @@ _PLAN: Optional[FaultPlan] = None
 _ENV_LOADED = False
 
 
-def _sync_env(plan: Optional[FaultPlan]) -> None:
-    """Mirror the plan into ``os.environ`` for spawn-started workers."""
-    if plan is None or not plan.enabled():
-        os.environ.pop(FAULTS_ENV, None)
-    else:
-        os.environ[FAULTS_ENV] = json.dumps(plan.as_dict(), sort_keys=True)
-
-
 def install(plan: FaultPlan) -> None:
-    """Install ``plan`` process-wide (and mirror it into the env)."""
+    """Install ``plan`` process-wide."""
     global _PLAN, _ENV_LOADED
     _PLAN = plan
     _ENV_LOADED = True
-    _sync_env(plan)
 
 
 def clear() -> None:
-    """Remove any installed plan (and its env mirror)."""
+    """Remove any installed plan."""
     global _PLAN, _ENV_LOADED
     _PLAN = None
     _ENV_LOADED = True
-    _sync_env(None)
 
 
 def active() -> Optional[FaultPlan]:
-    """The installed plan, loading the env mirror once per process."""
+    """The installed plan, loading ``REPRO_FAULTS`` once per process."""
     global _PLAN, _ENV_LOADED
     if _PLAN is None and not _ENV_LOADED:
         _ENV_LOADED = True

@@ -23,7 +23,7 @@ Member specs
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.binary_matrix import BinaryMatrix
@@ -55,7 +55,7 @@ CERTIFIED_BY_RANK = "rank-bound"
 RACE_MODES = ("sequential", "concurrent")
 """``sequential`` runs members one after another (the paper's recipe);
 ``concurrent`` races the exact backends in threads and cancels losers —
-see :mod:`repro.server.racing`."""
+see :mod:`repro.service.racing`."""
 
 RESULT_FORMAT_VERSION = 1
 
@@ -192,7 +192,7 @@ class PortfolioResult:
         that list heuristics before the exact backends this projection
         is byte-identical between ``race="sequential"`` and
         ``race="concurrent"`` — the regression contract of
-        :mod:`repro.server.racing`.  Per-member records are excluded:
+        :mod:`repro.service.racing`.  Per-member records are excluded:
         a cancelled loser legitimately looks different from a skipped
         one.
         """
@@ -504,7 +504,7 @@ def _run_concurrent(
     portfolio does) the winner/optimality provenance is identical to
     sequential mode.
     """
-    from repro.server.racing import race_members
+    from repro.service.racing import race_members
 
     exact_names = [name for name in members if is_exact_member(name)]
     heuristic_names = [
@@ -573,7 +573,7 @@ def solve_portfolio(
     With ``race="sequential"`` members run in the given order, each with
     a slice of the shared ``budget``; with ``race="concurrent"`` the
     exact backends run as a thread race and losers are cancelled (see
-    :mod:`repro.server.racing`).  Every member gets a seed derived
+    :mod:`repro.service.racing`).  Every member gets a seed derived
     deterministically from ``seed`` and its own name (so results do not
     depend on member order or on how instances are distributed over
     batch workers).  With ``stop_when_optimal`` the race short-circuits
@@ -612,8 +612,3 @@ def solve_portfolio(
         wall_seconds=time.perf_counter() - began,
         outcomes=tuple(outcomes),
     )
-
-
-def mark_cached(result: PortfolioResult) -> PortfolioResult:
-    """A copy of ``result`` flagged as served from cache."""
-    return replace(result, from_cache=True)

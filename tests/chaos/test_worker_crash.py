@@ -1,18 +1,24 @@
 """Worker death mid-batch: the batch finishes, results are identical.
 
-The acceptance contract (ISSUE 8): with
-``FaultPlan(kill_worker_on_case=n)`` a 20-case ``solve_batch`` still
-returns 20 results — 19 byte-identical to a fault-free run and exactly
-one marked ``retried`` (itself byte-identical in *content*; only the
-status differs).  The engine variant is weaker by design: its shared
-process pool means a crash can poison collateral in-flight cases, so
-the assertion there is "every lost case retried, every result
-byte-identical", not "exactly one".
+The acceptance contract: with ``FaultPlan(kill_worker_on_case=n)`` a
+20-case ``solve_batch`` still returns 20 results — 19 byte-identical to
+a fault-free run and exactly one marked ``retried`` (itself
+byte-identical in *content*; only the status differs).  The engine's
+process executor runs on the same bulkhead pool, so it carries the same
+guarantee: exactly the killed case comes back ``retried``.  A case that
+kills its worker on both dispatches is a poison pill for either caller.
 """
 
+import asyncio
+import time
+
+import pytest
+
 from repro.benchgen.random_matrices import random_matrix
+from repro.core.exceptions import SolverError
 from repro.server.engine import (
     DONE,
+    FAILED,
     WORKER_CRASHED,
     AsyncSolveEngine,
 )
@@ -97,8 +103,8 @@ class TestBatchWorkerCrash:
 
 class TestEngineWorkerCrash:
     async def test_process_pool_crash_recovers_all_cases(self):
-        """A poisoned shared pool may cost several in-flight cases; all
-        of them must come back, byte-identical, after one respawn."""
+        """A worker kill costs exactly the case it was running; every
+        result comes back byte-identical."""
         cases = _cases(6)
 
         async with AsyncSolveEngine(
@@ -110,8 +116,6 @@ class TestEngineWorkerCrash:
                     baseline[event.case_id] = _content(event.record.result)
         assert len(baseline) == 6
 
-        # The plan must be live before the executor spawns: spawned
-        # workers read the env mirror once, at first seam check.
         with faults.injected(faults.FaultPlan(kill_worker_on_case=3)):
             async with AsyncSolveEngine(
                 members=MEMBERS, seed=7, workers=2, executor="process"
@@ -126,11 +130,9 @@ class TestEngineWorkerCrash:
         done = [e for e in events if e.kind == DONE]
         assert {e.case_id for e in done} == {c for c, _ in cases}
 
-        # The killed case is always among the retried; a shared pool may
-        # add collateral (all futures in flight when it broke).
-        retried = {e.case_id for e in done if e.retried}
-        assert "c03" in retried
-        assert retried == {e.case_id for e in crashes}
+        retried = [e.case_id for e in done if e.retried]
+        assert retried == ["c03"]
+        assert [e.case_id for e in crashes] == ["c03"]
         assert stats["worker_crashes"] == 1
 
         for event in done:
@@ -139,10 +141,61 @@ class TestEngineWorkerCrash:
             ), event.case_id
 
 
+class TestPoisonPill:
+    """Second crash on the same case: the caller gives up on that case."""
+
+    @pytest.mark.parametrize("caller", ["batch", "engine"])
+    def test_second_crash_gives_up(self, caller, monkeypatch):
+        # Keep the kill armed across the retry so it fires again.
+        monkeypatch.setattr(faults, "disarm", lambda field_name: None)
+        cases = _cases(4)
+        with faults.injected(faults.FaultPlan(kill_worker_on_case="c02")):
+            if caller == "batch":
+                with pytest.raises(SolverError, match="'c02'"):
+                    solve_batch(cases, members=MEMBERS, seed=7, workers=2)
+                return
+            events = asyncio.run(_engine_events(cases))
+
+        crashes = [e.case_id for e in events if e.kind == WORKER_CRASHED]
+        assert crashes == ["c02", "c02"]
+        terminal = {e.case_id: e for e in events if e.terminal}
+        assert terminal["c02"].kind == FAILED
+        assert "c02" in terminal["c02"].error
+        assert {c for c, e in terminal.items() if e.kind == DONE} == {
+            "c00",
+            "c01",
+            "c03",
+        }
+
+
+async def _engine_events(cases):
+    async with AsyncSolveEngine(
+        members=MEMBERS, seed=7, workers=2, executor="process"
+    ) as engine:
+        return [event async for event in engine.stream(cases)]
+
+
+class TestStalePlan:
+    async def test_prewarmed_worker_runs_under_the_current_plan(self):
+        """Workers started while a plan was installed must not keep it:
+        each task runs under the plan active when it was submitted."""
+        cases = _cases(1)
+        async with AsyncSolveEngine(
+            members=MEMBERS, seed=7, executor="process"
+        ) as engine:
+            with faults.injected(
+                faults.FaultPlan(delay_seconds=2.0, delay_site="worker.solve")
+            ):
+                engine.prewarm()
+            start = time.monotonic()
+            records = await engine.solve(cases)
+            elapsed = time.monotonic() - start
+        assert len(records) == 1
+        assert elapsed < 1.0
+
+
 class TestDelaySeam:
     def test_delay_site_stretches_the_worker(self):
-        import time
-
         cases = _cases(1)
         start = time.monotonic()
         solve_batch(cases, members=MEMBERS, seed=7)
