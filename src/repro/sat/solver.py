@@ -10,7 +10,8 @@ Implemented techniques (MiniSat lineage):
 
 * two-watched-literal propagation,
 * first-UIP conflict analysis with self-subsumption clause minimization,
-* VSIDS variable activities with a lazy heap and phase saving,
+* VSIDS variable activities with a lazy heap and phase saving (a
+  rescale rebuilds the heap so stale keys cannot steer decisions),
 * Luby-sequence restarts,
 * activity-based learned-clause database reduction,
 * solving under assumptions,
@@ -18,6 +19,23 @@ Implemented techniques (MiniSat lineage):
 
 Literals follow the DIMACS convention externally (``+v`` / ``-v``);
 internally a literal is ``v << 1 | sign`` with ``sign = 1`` for negation.
+
+The hot path is tuned with techniques that leave the search untouched
+(same stored clauses in the same order, same decisions, conflicts and
+learned clauses; ``tests/sat/test_search_pin.py`` pins the counters):
+
+* a literal-indexed value array (``_values[lit]`` is +1/-1/0), so a
+  literal's value is one list lookup (a variable's is
+  ``_values[var << 1]``);
+* ``_propagate`` binds attributes to locals, enqueues inline and takes
+  a 2-literal fast path inside the same watch-list walk (no separate
+  implication lists, so the visiting order is unchanged);
+* ``_analyze`` inlines the activity bump and the redundancy check;
+* the lazy VSIDS heap keeps one entry per variable at its current
+  activity (``_queued``), so a backtrack pushes only the variables whose
+  activity moved; the first unassigned variable popped is still the
+  highest-activity one, exactly as with duplicate entries;
+* ``add_clause`` converts, looks up and attaches literals inline.
 """
 
 from __future__ import annotations
@@ -108,14 +126,15 @@ class CdclSolver:
         self._ok = True  # False once a top-level conflict is derived
 
         # Per-variable state (index 0 unused).
-        self._assigns: List[int] = [0]  # +1 true, -1 false, 0 unassigned
         self._levels: List[int] = [0]
         self._reasons: List[Optional[List[int]]] = [None]
         self._activity: List[float] = [0.0]
         self._phase: List[bool] = [False]
         self._seen: List[bool] = [False]
 
-        # Per-literal watch lists (index lit = v<<1 | sign).
+        # Per-literal state (index lit = v<<1 | sign): value (+1 true,
+        # -1 false, 0 unassigned) and watch lists.
+        self._values: List[int] = [0, 0]
         self._watches: List[List[List[int]]] = [[], []]
 
         self._clauses: List[List[int]] = []
@@ -126,7 +145,11 @@ class CdclSolver:
         self._trail_lim: List[int] = []
         self._qhead = 0
 
-        self._heap: List[tuple] = []  # lazy max-heap of (-activity, var)
+        # Lazy max-heap of (-activity, var).  ``_queued[var]`` says the
+        # heap holds an entry with var's *current* activity, so a
+        # backtrack need not push a duplicate of it.
+        self._heap: List[tuple] = []
+        self._queued: List[bool] = [False]
         self._var_inc = 1.0
         self._var_decay = var_decay
         self._clause_inc = 1.0
@@ -151,14 +174,15 @@ class CdclSolver:
 
     def new_var(self) -> int:
         self._num_vars += 1
-        self._assigns.append(0)
         self._levels.append(0)
         self._reasons.append(None)
         self._activity.append(0.0)
         self._phase.append(False)
         self._seen.append(False)
+        self._values.extend((0, 0))
         self._watches.append([])
         self._watches.append([])
+        self._queued.append(True)
         heapq.heappush(self._heap, (0.0, self._num_vars))
         return self._num_vars
 
@@ -176,10 +200,6 @@ class CdclSolver:
         var = ilit >> 1
         return -var if ilit & 1 else var
 
-    def _lit_value(self, ilit: int) -> int:
-        value = self._assigns[ilit >> 1]
-        return -value if ilit & 1 else value
-
     def add_clause(self, literals: Sequence[int]) -> bool:
         """Add a clause (external literals).  Only legal at decision level
         0 (i.e., between ``solve`` calls).  Returns ``False`` if the solver
@@ -187,31 +207,31 @@ class CdclSolver:
         """
         if self._trail_lim:
             raise SolverError("clauses may only be added at decision level 0")
+        num_vars = self._num_vars
+        values = self._values
+        clause: List[int] = []
+        members = set()
+        satisfied = False  # tautology, or a literal true at level 0
+        for lit in literals:
+            if 0 < lit <= num_vars:
+                ilit = lit << 1
+            elif 0 < -lit <= num_vars:
+                ilit = (-lit) << 1 | 1
+            else:
+                raise SolverError(f"invalid literal {lit}")
+            if satisfied:
+                continue  # keep validating the remaining literals
+            value = values[ilit]
+            if value > 0 or ilit ^ 1 in members:
+                satisfied = True
+            elif value == 0 and ilit not in members:
+                members.add(ilit)
+                clause.append(ilit)  # level-0 false literals are dropped
         if self._proof is not None:
             self._proof.axiom(list(literals))
         if not self._ok:
             return False
-        seen_lits = set()
-        clause: List[int] = []
-        tautology = False
-        for lit in literals:
-            if lit == 0 or abs(lit) > self._num_vars:
-                raise SolverError(f"invalid literal {lit}")
-            ilit = self._to_internal(lit)
-            if ilit ^ 1 in seen_lits:
-                tautology = True
-                break
-            if ilit in seen_lits:
-                continue
-            value = self._lit_value(ilit)
-            if value > 0:
-                tautology = True  # already satisfied at level 0
-                break
-            if value < 0:
-                continue  # falsified at level 0: drop the literal
-            seen_lits.add(ilit)
-            clause.append(ilit)
-        if tautology:
+        if satisfied:
             return True
         if not clause:
             self._ok = False
@@ -228,7 +248,9 @@ class CdclSolver:
                 return False
             return True
         self._clauses.append(clause)
-        self._attach(clause)
+        watches = self._watches
+        watches[clause[0]].append(clause)
+        watches[clause[1]].append(clause)
         return True
 
     def _attach(self, clause: List[int]) -> None:
@@ -244,7 +266,8 @@ class CdclSolver:
 
     def _enqueue(self, ilit: int, reason: Optional[List[int]]) -> None:
         var = ilit >> 1
-        self._assigns[var] = -1 if ilit & 1 else 1
+        self._values[ilit] = 1
+        self._values[ilit ^ 1] = -1
         self._levels[var] = self._decision_level
         self._reasons[var] = reason
         self._trail.append(ilit)
@@ -253,31 +276,48 @@ class CdclSolver:
         self._trail_lim.append(len(self._trail))
 
     def _backtrack(self, level: int) -> None:
-        if self._decision_level <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        boundary = self._trail_lim[level]
-        for index in range(len(self._trail) - 1, boundary - 1, -1):
-            ilit = self._trail[index]
+        trail = self._trail
+        boundary = trail_lim[level]
+        values = self._values
+        reasons = self._reasons
+        phase = self._phase
+        activity = self._activity
+        heap = self._heap
+        queued = self._queued
+        heappush = heapq.heappush
+        for index in range(len(trail) - 1, boundary - 1, -1):
+            ilit = trail[index]
             var = ilit >> 1
-            self._phase[var] = not (ilit & 1)
-            self._assigns[var] = 0
-            self._reasons[var] = None
-            heapq.heappush(self._heap, (-self._activity[var], var))
-        del self._trail[boundary:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+            phase[var] = not (ilit & 1)
+            values[ilit] = 0
+            values[ilit ^ 1] = 0
+            reasons[var] = None
+            if not queued[var]:
+                queued[var] = True
+                heappush(heap, (-activity[var], var))
+        del trail[boundary:]
+        del trail_lim[level:]
+        self._qhead = len(trail)
 
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
     def _propagate(self) -> Optional[List[int]]:
         """Unit propagation; returns the conflicting clause or ``None``."""
-        while self._qhead < len(self._trail):
-            ilit = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
-            false_lit = ilit ^ 1
-            watchers = self._watches[false_lit]
+        trail = self._trail
+        watches = self._watches
+        values = self._values
+        levels = self._levels
+        reasons = self._reasons
+        level = len(self._trail_lim)
+        qhead = start = self._qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watchers = watches[false_lit]
             kept: List[List[int]] = []
             index = 0
             total = len(watchers)
@@ -287,46 +327,67 @@ class CdclSolver:
                 if clause[0] == false_lit:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                first_value = self._lit_value(first)
+                first_value = values[first]
                 if first_value > 0:
                     kept.append(clause)
                     continue
-                moved = False
-                for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) >= 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[clause[1]].append(clause)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                kept.append(clause)
-                if first_value < 0:
-                    # Conflict: retain the untraversed watchers.
-                    kept.extend(watchers[index:])
-                    self._watches[false_lit] = kept
-                    self._qhead = len(self._trail)
-                    return clause
-                self._enqueue(first, clause)
-            self._watches[false_lit] = kept
+                size = len(clause)
+                if size > 2:
+                    for k in range(2, size):
+                        other = clause[k]
+                        if values[other] >= 0:
+                            clause[1], clause[k] = other, clause[1]
+                            watches[other].append(clause)
+                            break
+                    else:
+                        size = 2  # no replacement watch: unit or conflict
+                if size == 2:
+                    kept.append(clause)
+                    if first_value < 0:
+                        # Conflict: retain the untraversed watchers.
+                        kept.extend(watchers[index:])
+                        watches[false_lit] = kept
+                        self._qhead = len(trail)
+                        self.stats.propagations += qhead - start
+                        return clause
+                    var = first >> 1
+                    values[first] = 1
+                    values[first ^ 1] = -1
+                    levels[var] = level
+                    reasons[var] = clause
+                    trail.append(first)
+            watches[false_lit] = kept
+        self._qhead = qhead
+        self.stats.propagations += qhead - start
         return None
 
     # ------------------------------------------------------------------
     # Conflict analysis
     # ------------------------------------------------------------------
-    def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self._num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        if self._assigns[var] == 0:
-            heapq.heappush(self._heap, (-self._activity[var], var))
+    def _rescale_var_activity(self) -> None:
+        """Scale all variable activities down once one passes 1e100.
+
+        The lazy heap's stored keys are rebuilt from the rescaled
+        activities of the unassigned variables: stale pre-rescale keys
+        would otherwise outrank every later bump until they drained.
+        Assigned variables re-enter the heap when they are unassigned.
+        """
+        activity = self._activity
+        values = self._values
+        queued = self._queued
+        heap = self._heap
+        heap.clear()
+        for var in range(1, self._num_vars + 1):
+            activity[var] *= 1e-100
+            queued[var] = values[var << 1] == 0
+            if queued[var]:
+                heap.append((-activity[var], var))
+        heapq.heapify(heap)
+        self._var_inc *= 1e-100
 
     def _bump_clause(self, clause: List[int]) -> None:
+        """Bump a learned clause (one with an activity entry)."""
         key = id(clause)
-        if key not in self._clause_activity:
-            return
         self._clause_activity[key] += self._clause_inc
         if self._clause_activity[key] > 1e20:
             for k in self._clause_activity:
@@ -335,60 +396,74 @@ class CdclSolver:
 
     def _analyze(self, conflict: List[int]) -> tuple:
         """First-UIP analysis.  Returns (learnt_clause, backtrack_level)."""
-        learnt: List[int] = [0]  # slot 0 for the asserting literal
         seen = self._seen
+        levels = self._levels
+        reasons = self._reasons
+        activity = self._activity
+        queued = self._queued
+        trail = self._trail
+        clause_activity = self._clause_activity
+        var_inc = self._var_inc
+        learnt: List[int] = [0]  # slot 0 for the asserting literal
         to_clear: List[int] = []
         path_count = 0
         p: Optional[int] = None
-        index = len(self._trail)
+        index = len(trail)
         reason = conflict
-        current_level = self._decision_level
+        current_level = len(self._trail_lim)
 
         while True:
-            self._bump_clause(reason)
-            start = 0 if p is None else 1
-            for q in reason[start:]:
+            if id(reason) in clause_activity:  # learned clauses only
+                self._bump_clause(reason)
+            for q in reason if p is None else reason[1:]:
                 var = q >> 1
-                if not seen[var] and self._levels[var] > 0:
+                if seen[var]:
+                    continue
+                level = levels[var]
+                if level > 0:
                     seen[var] = True
                     to_clear.append(var)
-                    self._bump_var(var)
-                    if self._levels[var] >= current_level:
+                    # VSIDS bump.  Every literal of a conflict or reason
+                    # clause is assigned, so no heap entry is due here;
+                    # backtracking pushes the new activity.
+                    activity[var] += var_inc
+                    queued[var] = False  # its heap entry is now stale
+                    if activity[var] > 1e100:
+                        self._rescale_var_activity()
+                        var_inc = self._var_inc
+                    if level >= current_level:
                         path_count += 1
                     else:
                         learnt.append(q)
             while True:
                 index -= 1
-                if seen[self._trail[index] >> 1]:
+                if seen[trail[index] >> 1]:
                     break
-            p = self._trail[index]
+            p = trail[index]
             var = p >> 1
             path_count -= 1
             if path_count == 0:
                 break
-            reason = self._reasons[var]
+            reason = reasons[var]
             if reason is None:
                 raise SolverError("decision literal reached before UIP")
             seen[var] = False
         learnt[0] = p ^ 1
-        seen[p >> 1] = True
-        if (p >> 1) not in to_clear:
-            to_clear.append(p >> 1)
+        seen[p >> 1] = True  # already listed in to_clear
 
         # Self-subsumption minimization: a literal is redundant if its
         # reason clause is covered by the rest of the learnt clause.
-        def redundant(q: int) -> bool:
-            reason_q = self._reasons[q >> 1]
+        minimized = [learnt[0]]
+        for q in learnt[1:]:
+            reason_q = reasons[q >> 1]
             if reason_q is None:
-                return False
+                minimized.append(q)
+                continue
             for other in reason_q[1:]:
                 var_o = other >> 1
-                if not seen[var_o] and self._levels[var_o] > 0:
-                    return False
-            return True
-
-        minimized = [learnt[0]]
-        minimized.extend(q for q in learnt[1:] if not redundant(q))
+                if not seen[var_o] and levels[var_o] > 0:
+                    minimized.append(q)
+                    break
         learnt = minimized
 
         # Find backtrack level and move its literal to the watch slot.
@@ -396,11 +471,14 @@ class CdclSolver:
             backtrack_level = 0
         else:
             max_index = 1
+            max_level = levels[learnt[1] >> 1]
             for k in range(2, len(learnt)):
-                if self._levels[learnt[k] >> 1] > self._levels[learnt[max_index] >> 1]:
+                level = levels[learnt[k] >> 1]
+                if level > max_level:
                     max_index = k
+                    max_level = level
             learnt[1], learnt[max_index] = learnt[max_index], learnt[1]
-            backtrack_level = self._levels[learnt[1] >> 1]
+            backtrack_level = max_level
 
         for var in to_clear:
             seen[var] = False
@@ -503,9 +581,16 @@ class CdclSolver:
     # Decisions
     # ------------------------------------------------------------------
     def _pick_branch_var(self) -> int:
-        while self._heap:
-            _, var = heapq.heappop(self._heap)
-            if self._assigns[var] == 0:
+        # Stale keys are only ever lower than the current one (activities
+        # grow until a rescale rebuilds the heap), so the first unassigned
+        # var popped is the highest-activity one.
+        heap = self._heap
+        activity = self._activity
+        while heap:
+            key, var = heapq.heappop(heap)
+            if key == -activity[var]:
+                self._queued[var] = False
+            if self._values[var << 1] == 0:
                 return var
         return 0
 
@@ -589,7 +674,7 @@ class CdclSolver:
                 # Re-establish assumptions as the first decision levels.
                 if self._decision_level < len(internal_assumptions):
                     next_assumption = internal_assumptions[self._decision_level]
-                    value = self._lit_value(next_assumption)
+                    value = self._values[next_assumption]
                     if value < 0:
                         self.unsat_due_to_assumptions = True
                         self._core = self._analyze_final(next_assumption)
@@ -601,7 +686,7 @@ class CdclSolver:
                     continue
                 var = self._pick_branch_var()
                 if var == 0:
-                    self._model = list(self._assigns)
+                    self._model = self._values[::2]  # indexed by var
                     status = SolveStatus.SAT
                     break
                 self.stats.decisions += 1

@@ -151,21 +151,23 @@ class DirectEncoder:
                     clause.extend(self._vars[s][k - 1] for s in range(k - 1, t))
                     self.solver.add_clause(clause)
 
+        # Eq. 4 per label.  Under symmetry breaking cell ``a`` (always the
+        # lower index of the pair) is banned from labels >= a + 1 by the
+        # units above, so the clauses for those labels would be satisfied
+        # at level 0 and discarded by the solver; they are not emitted.
+        add_clause = self.solver.add_clause
+        variables = self._vars
+        broken = symmetry in ("restricted", "precedence")
         for kind, a, b, cross in _cell_pairs_constraints(matrix, self.cells):
+            x_a, x_b = variables[a], variables[b]
+            labels = range(min(bound, a + 1) if broken else bound)
             if kind == "conflict":
-                for k in range(bound):
-                    self.solver.add_clause(
-                        [-self._vars[a][k], -self._vars[b][k]]
-                    )
+                for k in labels:
+                    add_clause([-x_a[k], -x_b[k]])
             else:
-                for k in range(bound):
-                    self.solver.add_clause(
-                        [
-                            -self._vars[a][k],
-                            -self._vars[b][k],
-                            self._vars[cross][k],
-                        ]
-                    )
+                x_cross = variables[cross]
+                for k in labels:
+                    add_clause([-x_a[k], -x_b[k], x_cross[k]])
 
     # ------------------------------------------------------------------
     @property

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.exceptions import ProofError
+from repro.core.exceptions import ProofError, SolverError
 from repro.sat import (
     CdclSolver,
     ProofLog,
@@ -191,6 +191,20 @@ class TestSolverProofs:
         status = solver.solve()
         assert status is SolveStatus.UNSAT
         check_refutation(log)
+
+    @pytest.mark.parametrize("bad", [[0], [1, 0], [3], [-3], [1, 2, 9]])
+    def test_rejected_clause_leaves_no_axiom(self, bad):
+        """An invalid literal raises before the clause reaches the log."""
+        log = ProofLog()
+        solver = CdclSolver(proof=log)
+        a, b = solver.new_vars(2)
+        solver.add_clause([a])  # makes ``1`` true at level 0
+        solver.add_clause([a, b])
+        before = log.axioms()
+        with pytest.raises(SolverError):
+            solver.add_clause(bad)
+        assert log.axioms() == before
+        assert len(log) == 2
 
     def test_proof_overhead_only_when_enabled(self):
         formula = xor_chain(6, parity=1)

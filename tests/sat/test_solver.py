@@ -7,6 +7,7 @@ import pytest
 from repro.core.exceptions import SolverError
 from repro.sat.brute import brute_force_model
 from repro.sat.formula import CnfFormula
+from repro.sat.instances import pigeonhole
 from repro.sat.solver import CdclSolver, SolveStatus, luby
 
 
@@ -233,6 +234,24 @@ class TestFuzzAgainstBruteForce:
                 assert (solver.solve() is SolveStatus.SAT) == expected
                 if not expected:
                     break
+
+
+class TestVsidsRescale:
+    """Passing 1e100 rescales activities; the heap must follow."""
+
+    @pytest.mark.parametrize(
+        "var_inc, budget", [(5e99, 2), (3e99, 5), (1e99, 13)]
+    )
+    def test_next_branch_is_highest_activity(self, var_inc, budget):
+        s = CdclSolver.from_formula(pigeonhole(5))
+        s._var_inc = var_inc  # the first few bumps cross 1e100
+        assert s.solve(conflict_budget=budget) is SolveStatus.UNKNOWN
+        assert s._var_inc < 1.0  # a rescale happened
+        unassigned = [
+            v for v in range(1, s.num_vars + 1) if s._values[v << 1] == 0
+        ]
+        expected = min(unassigned, key=lambda v: (-s._activity[v], v))
+        assert s._pick_branch_var() == expected
 
 
 class TestStats:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.benchgen.gap import gap_matrix
 from repro.core.exceptions import ProofError
 from repro.core.paper_matrices import equation_2, figure_1b
 from repro.sat.solver import SolveStatus
@@ -15,6 +16,21 @@ class TestOracleProof:
         assert status is SolveStatus.SAT and partition.depth == 5
         status, _ = oracle.check_at_most(4)
         assert status is SolveStatus.UNSAT
+        oracle.verify_refutation()  # must not raise
+
+    def test_set3_gap_refutation_verifies(self):
+        """A realistic descent: Set-3 matrix, binary rank 7, rank bound 6.
+
+        Symmetry breaking lets the encoder skip clauses that its ban
+        units already satisfy, so the axiom log is shorter than the
+        full Eq. 4 set; the checker must still accept the refutation.
+        """
+        oracle = RankDecisionOracle(gap_matrix(10, 10, 4, seed=4), proof=True)
+        status, partition = oracle.check_at_most(7)
+        assert status is SolveStatus.SAT and partition.depth == 7
+        status, _ = oracle.check_at_most(6)
+        assert status is SolveStatus.UNSAT
+        assert oracle.queries[-1].conflicts > 0
         oracle.verify_refutation()  # must not raise
 
     def test_verify_without_proof_raises(self):
