@@ -4,9 +4,9 @@ Usage (also installed as ``python -m repro``):
 
     python -m repro rank PATTERN_FILE [--budget SECONDS]
     python -m repro solve PATTERN_FILE [--heuristic-only] [--trials N]
-    python -m repro solve-batch PATTERN_FILE [...] [--workers N] [--cache F]
+    python -m repro solve-batch PATTERN_FILE [...] [--workers N] [--cache-dir DIR]
     python -m repro serve [--socket PATH] [--workers N] [--cache-dir DIR]
-    python -m repro gateway [--host H] [--port P] [--tenants FILE]
+    python -m repro gateway [--host H] [--port P] [--tenants FILE] [...]
     python -m repro submit PATTERN_FILE [...] [--socket PATH | --connect tcp://H:P]
     python -m repro health [--socket PATH | --connect tcp://H:P]
     python -m repro scoreboard {run|diff|update-baseline|list} [--smoke]
@@ -21,7 +21,10 @@ Usage (also installed as ``python -m repro``):
 
 A pattern file holds one row per line using '0'/'1' (and optionally a
 vacancy character, default '*', for ``compile``, which then exploits the
-vacancies as don't-cares).
+vacancies as don't-cares).  ``serve`` and ``gateway`` start the same
+solve server, bound to a unix socket or a TCP port.  ``--cache`` is a
+second spelling of ``--cache-dir`` (a sharded cache directory; a legacy
+single-file cache named there is migrated in place).
 """
 
 from __future__ import annotations
@@ -115,15 +118,7 @@ def cmd_solve_batch(args: argparse.Namespace) -> int:
     members = tuple(spec for spec in args.members.split(",") if spec)
     try:
         items = [(path, _read_pattern(path)) for path in args.patterns]
-        cache = None
-        if args.cache and args.cache_dir:
-            print("error: pass --cache or --cache-dir, not both",
-                  file=sys.stderr)
-            return 2
-        if args.cache:
-            cache = ResultCache(path=args.cache)
-        elif args.cache_dir:
-            cache = ResultCache.sharded(args.cache_dir)
+        cache = ResultCache.sharded(args.cache_dir) if args.cache_dir else None
         records = solve_batch(
             items,
             members=members,
@@ -159,8 +154,10 @@ def cmd_solve_batch(args: argparse.Namespace) -> int:
     )
     if cache is not None:
         stats = cache.stats
-        target = args.cache or args.cache_dir
-        print(f"cache: {stats.hits} hits, {stats.misses} misses -> {target}")
+        print(
+            f"cache: {stats.hits} hits, {stats.misses} misses "
+            f"-> {args.cache_dir}"
+        )
     if args.json:
         try:
             write_json(args.json, [record.provenance() for record in records])
@@ -171,107 +168,58 @@ def cmd_solve_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _server_cache(args: argparse.Namespace):
-    """Shared --cache/--cache-dir resolution for serve/gateway."""
+def cmd_serve(args: argparse.Namespace) -> int:
+    """``serve`` (unix socket) and ``gateway`` (TCP): one solve server."""
+    from repro.core.exceptions import ReproError
+    from repro.server.client import default_socket_path
+    from repro.server.gateway import run_gateway
+    from repro.server.tenancy import AdmissionController, TenantRegistry
     from repro.service.cache import ResultCache
 
-    if args.cache and args.cache_dir:
-        print("error: pass --cache or --cache-dir, not both",
-              file=sys.stderr)
-        return 2, None
-    if args.cache:
-        return 0, ResultCache(path=args.cache)
-    if args.cache_dir:
-        return 0, ResultCache.sharded(args.cache_dir)
-    return 0, None
-
-
-def _traffic_policy(args: argparse.Namespace):
-    """Shared tenancy/admission resolution for serve/gateway."""
-    from repro.server.tenancy import AdmissionController, TenantRegistry
-
-    tenants = (
-        TenantRegistry.from_file(args.tenants) if args.tenants else None
-    )
-    admission = None
-    if args.max_in_flight is not None or args.max_waiting is not None:
-        admission = AdmissionController(
-            max_in_flight=args.max_in_flight or 4,
-            max_waiting=16 if args.max_waiting is None else args.max_waiting,
-        )
-    return tenants, admission
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.exceptions import ReproError
-    from repro.server.daemon import default_socket_path, run_daemon
-
     members = tuple(spec for spec in args.members.split(",") if spec)
-    socket_path = args.socket or default_socket_path()
+    unix = args.command == "serve"
+    if unix:
+        bind = {"socket_path": args.socket or default_socket_path()}
+    else:
+        bind = {"host": args.host, "port": args.port}
     cache = None
     try:
-        status, cache = _server_cache(args)
-        if status:
-            return status
-        tenants, admission = _traffic_policy(args)
-        print(
-            f"serving on {socket_path} "
-            f"(workers={args.workers}, executor={args.executor}, "
-            f"members: {', '.join(members)}, race={args.race}); "
-            f"submit with: "
-            f"python -m repro submit PATTERN --socket {socket_path}"
+        cache = ResultCache.sharded(args.cache_dir) if args.cache_dir else None
+        tenants = (
+            TenantRegistry.from_file(args.tenants) if args.tenants else None
         )
-        return run_daemon(
-            socket_path,
-            tenants=tenants,
-            admission=admission,
-            members=members,
-            seed=args.seed,
-            workers=args.workers,
-            cache=cache,
-            budget_per_instance=args.budget,
-            race=args.race,
-            executor=args.executor,
-        )
-    except (ReproError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    finally:
-        if cache is not None:
-            cache.flush()
-
-
-def cmd_gateway(args: argparse.Namespace) -> int:
-    from repro.core.exceptions import ReproError
-    from repro.server.gateway import run_gateway
-    from repro.server.tenancy import AdmissionController
-
-    members = tuple(spec for spec in args.members.split(",") if spec)
-    cache = None
-    try:
-        status, cache = _server_cache(args)
-        if status:
-            return status
-        tenants, admission = _traffic_policy(args)
-        if admission is None:
-            # The TCP front always runs admission control: unbounded
-            # queues are exactly what it exists to prevent.
-            admission = AdmissionController()
+        admission = None
+        # The TCP front always runs admission control: unbounded queues
+        # are exactly what it exists to prevent.
+        if (
+            not unix
+            or args.max_in_flight is not None
+            or args.max_waiting is not None
+        ):
+            admission = AdmissionController(
+                max_in_flight=args.max_in_flight or 4,
+                max_waiting=16 if args.max_waiting is None else args.max_waiting,
+            )
 
         def banner(gateway) -> None:
             # After bind, so --port 0 advertises the real ephemeral port.
+            if unix:
+                where = f"serving on {gateway.socket_path}"
+                target = f"--socket {gateway.socket_path}"
+            else:
+                address = f"{gateway.host}:{gateway.port}"
+                where = f"gateway on {address}"
+                target = f"--connect tcp://{address}"
             print(
-                f"gateway on {gateway.host}:{gateway.port} "
-                f"(workers={args.workers}, executor={args.executor}, "
-                f"members: {', '.join(members)}, race={args.race}); "
-                f"submit with: python -m repro submit PATTERN "
-                f"--connect tcp://{gateway.host}:{gateway.port}",
+                f"{where} (workers={args.workers}, "
+                f"executor={args.executor}, members: {', '.join(members)}, "
+                f"race={args.race}); submit with: "
+                f"python -m repro submit PATTERN {target}",
                 flush=True,
             )
 
         return run_gateway(
-            args.host,
-            args.port,
+            **bind,
             tenants=tenants,
             admission=admission,
             on_ready=banner,
@@ -295,10 +243,9 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from repro.core.exceptions import ReproError
     from repro.experiments.common import write_json
     from repro.server import client
-    from repro.server.daemon import default_socket_path
     from repro.utils.tables import format_table
 
-    address = args.connect or args.socket or default_socket_path()
+    address = args.connect or args.socket or client.default_socket_path()
     retry = None
     if args.retries:
         retry = client.RetryPolicy(max_attempts=args.retries + 1)
@@ -384,7 +331,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
             format_table(
                 ["pattern", "depth", "winner", "optimal", "cache"],
                 rows,
-                title=f"daemon batch — {len(done)}/{len(records)} solved",
+                title=f"server batch — {len(done)}/{len(records)} solved",
             )
         )
     if args.json:
@@ -405,9 +352,8 @@ def cmd_health(args: argparse.Namespace) -> int:
 
     from repro.core.exceptions import ReproError
     from repro.server import client
-    from repro.server.daemon import default_socket_path
 
-    address = args.connect or args.socket or default_socket_path()
+    address = args.connect or args.socket or client.default_socket_path()
     try:
         payload = client.request_once(
             address, {"op": "health"}, timeout=args.timeout
@@ -612,6 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--heuristic-only", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
+    from repro.server.cache_cli import add_cache_flag
+
     p_batch = sub.add_parser(
         "solve-batch",
         help="race the solver portfolio over many patterns",
@@ -629,15 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=float, default=None,
         help="wall-clock budget per instance (seconds; default unlimited)",
     )
-    p_batch.add_argument(
-        "--cache", default=None,
-        help="JSON result-cache file (read if present, written after the batch)",
-    )
-    p_batch.add_argument(
-        "--cache-dir", default=None,
-        help="sharded result-cache directory (safe to share between "
-        "concurrent runners; migrates a --cache file given its path)",
-    )
+    add_cache_flag(p_batch)
     p_batch.add_argument(
         "--race", default="sequential",
         choices=["sequential", "concurrent"],
@@ -658,12 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget", type=float, default=None,
             help="default wall-clock budget per instance (seconds)",
         )
-        p.add_argument(
-            "--cache", default=None, help="JSON result-cache file"
-        )
-        p.add_argument(
-            "--cache-dir", default=None, help="sharded result-cache directory"
-        )
+        add_cache_flag(p)
         p.add_argument(
             "--race", default="sequential",
             choices=["sequential", "concurrent"],
@@ -690,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="long-lived streaming solve daemon on a unix socket",
+        help="long-lived streaming solve server on a unix socket",
     )
     p_serve.add_argument(
         "--socket", default=None,
@@ -713,16 +648,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (default 7341; 0 binds an ephemeral port)",
     )
     server_flags(p_gateway)
-    p_gateway.set_defaults(func=cmd_gateway)
+    p_gateway.set_defaults(func=cmd_serve)
 
     p_submit = sub.add_parser(
         "submit",
-        help="stream patterns through a running solve daemon",
+        help="stream patterns through a running solve server",
     )
     p_submit.add_argument(
         "patterns", nargs="+", help="pattern files (one instance each)"
     )
-    p_submit.add_argument("--socket", default=None, help="daemon socket path")
+    p_submit.add_argument("--socket", default=None, help="unix socket path")
     p_submit.add_argument(
         "--connect", default=None,
         help="TCP gateway address (tcp://host:port); overrides --socket",
@@ -767,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
         "health",
         help="probe a running front: ready / degraded / draining",
     )
-    p_health.add_argument("--socket", default=None, help="daemon socket path")
+    p_health.add_argument("--socket", default=None, help="unix socket path")
     p_health.add_argument(
         "--connect", default=None,
         help="TCP gateway address (tcp://host:port); overrides --socket",

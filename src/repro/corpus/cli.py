@@ -59,13 +59,8 @@ def _members(args: argparse.Namespace) -> Sequence[str]:
 
 
 def _cache(args: argparse.Namespace):
-    from repro.core.exceptions import SolverError
     from repro.service.cache import ResultCache
 
-    if args.cache and args.cache_dir:
-        raise SolverError("pass --cache or --cache-dir, not both")
-    if args.cache:
-        return ResultCache(path=args.cache)
     if args.cache_dir:
         return ResultCache.sharded(args.cache_dir)
     return None
@@ -238,6 +233,8 @@ def cmd_scoreboard_list(args: argparse.Namespace) -> int:
 
 def add_scoreboard_parser(sub) -> None:
     """Attach the ``scoreboard`` command tree to the top-level parser."""
+    from repro.server.cache_cli import add_cache_flag
+
     parser = sub.add_parser(
         "scoreboard",
         help="run the standing benchmark corpus and gate on regressions",
@@ -271,13 +268,7 @@ def add_scoreboard_parser(sub) -> None:
             "--budget", type=float, default=None,
             help="wall-clock budget per instance (seconds)",
         )
-        p.add_argument(
-            "--cache", default=None, help="JSON result-cache file"
-        )
-        p.add_argument(
-            "--cache-dir", default=None,
-            help="sharded result-cache directory",
-        )
+        add_cache_flag(p)
         p.add_argument(
             "--race", default="sequential",
             choices=["sequential", "concurrent"],

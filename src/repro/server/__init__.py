@@ -7,19 +7,18 @@ turns a *stream of requests* into a *stream of results*:
   executor that yields per-instance :class:`SolveEvent` s as they
   complete, with bounded in-flight backpressure and per-instance
   cancellation;
-* :mod:`shards` — a hash-prefix-sharded, ``fcntl``-locked disk tier so
-  concurrent runners on one host share a result cache safely
-  (``ResultCache.sharded``);
-* :mod:`daemon` / :mod:`client` — a JSON-lines unix-socket server
-  (``python -m repro serve``) and client (``python -m repro submit``)
-  that amortize pool and cache warmup across requests;
-* :mod:`gateway` / :mod:`tenancy` — the multi-tenant TCP front
-  (``python -m repro gateway``): per-tenant identities, priorities and
-  rolling compute quotas, priority-aware admission control that rejects
-  with ``retry_after`` instead of queueing unboundedly, and a
+* :mod:`shards` — the result cache's one disk tier: hash-prefix
+  shards with ``fcntl`` locking, so concurrent runners on one host
+  share a cache safely (``ResultCache.sharded``);
+* :mod:`gateway` / :mod:`tenancy` — :class:`SolveGateway`, the one
+  front, on TCP (``python -m repro gateway``) or a unix socket
+  (``python -m repro serve``): per-tenant identities, priorities and
+  rolling compute quotas, priority-aware admission control that
+  rejects with ``retry_after`` instead of queueing unboundedly, and a
   ``metrics`` op reporting queue depth, per-tenant usage, cache hit
-  rate, and per-solver win rates.  The daemon binds the same front to
-  a unix socket, so both deployments share one stats surface.
+  rate, and per-solver win rates;
+* :mod:`client` — the JSON-lines client (``python -m repro submit`` /
+  ``health``) for either bind.
 
 The serving stack is fault-tolerant end to end: the process executor
 runs on :class:`repro.service.pool.WorkerPool`, the same bulkhead pool
@@ -55,7 +54,7 @@ from repro.server.engine import (
     SolveEvent,
     TERMINAL_EVENTS,
 )
-from repro.server.gateway import SolveGateway, StreamFront
+from repro.server.gateway import SolveGateway
 from repro.server.shards import ShardedDiskTier, quarantine_file
 from repro.server.tenancy import (
     AdmissionController,
@@ -91,7 +90,6 @@ __all__ = [
     "ShardedDiskTier",
     "SolveEvent",
     "SolveGateway",
-    "StreamFront",
     "StreamInterrupted",
     "TERMINAL_EVENTS",
     "TenantConfig",

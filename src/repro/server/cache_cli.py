@@ -17,12 +17,25 @@ pass, persisting any cap flags it was given so later openers enforce
 the same policy.  ``prewarm`` bulk-solves a corpus profile through
 ``solve_batch`` into the store, so a fresh deployment starts with a
 warm cache instead of a thundering herd of cold solves.
+
+:func:`add_cache_flag` is the one ``--cache-dir``/``--cache`` option
+that ``solve-batch``, ``serve``/``gateway`` and ``scoreboard`` share.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+
+
+def add_cache_flag(parser: argparse.ArgumentParser) -> None:
+    """``--cache-dir DIR``, also spelled ``--cache``: one setting."""
+    parser.add_argument(
+        "--cache-dir", "--cache", dest="cache_dir", default=None,
+        help="sharded result-cache directory (safe to share between "
+        "concurrent runners; a legacy single-file cache named here is "
+        "migrated in place)",
+    )
 
 
 def _limits(args: argparse.Namespace):

@@ -1,4 +1,4 @@
-"""Synchronous client for the solve daemon/gateway JSON-lines protocol.
+"""Synchronous client for the solve gateway's JSON-lines protocol.
 
 Deliberately plain ``socket`` + blocking reads: the client side of
 ``python -m repro submit`` is a short-lived CLI (or a test fixture)
@@ -7,10 +7,13 @@ nothing.  Each request opens one connection; the server closes the
 connection when the response stream ends, so iteration terminates
 naturally without a sentinel.
 
-Addresses name either front:
+Addresses name either bind of :class:`repro.server.gateway.SolveGateway`:
 
-* a filesystem path (``str`` or ``Path``) — the unix-socket daemon;
-* ``"tcp://host:port"`` or a ``(host, port)`` tuple — the TCP gateway.
+* a filesystem path (``str`` or ``Path``) — a unix socket
+  (``python -m repro serve``; :func:`default_socket_path` is its
+  per-user default);
+* ``"tcp://host:port"`` or a ``(host, port)`` tuple — TCP
+  (``python -m repro gateway``).
 
 Tenancy fields ride along as request options: ``tenant``, ``key``, and
 ``priority`` are forwarded verbatim, and a gateway rejection surfaces
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import socket
 import time
@@ -46,6 +50,10 @@ from repro.core.exceptions import SolverError
 Address = Union[str, Path, Tuple[str, int]]
 
 TCP_SCHEME = "tcp://"
+
+SUN_PATH_LIMIT = 104
+"""Portable ceiling on ``AF_UNIX`` path bytes (Linux allows 108, BSDs
+104, both including the trailing NUL)."""
 
 TERMINAL_CLIENT_EVENTS = ("done", "cancelled", "failed")
 """Event kinds that end one case's stream (mirror of the engine's)."""
@@ -176,6 +184,22 @@ def case_fingerprint(case_id: str, matrix: BinaryMatrix) -> str:
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def default_socket_path() -> str:
+    """Per-user default socket location (overridable via ``--socket``).
+
+    Prefers ``$XDG_RUNTIME_DIR``, but falls back to ``/tmp`` when the
+    runtime dir would push the path past the ``AF_UNIX`` ``sun_path``
+    limit — some sandboxes nest runtime dirs deep enough that binding
+    would otherwise fail with a cryptic ``OSError``.
+    """
+    name = f"repro-solve-{os.getuid()}.sock"
+    runtime = os.environ.get("XDG_RUNTIME_DIR") or "/tmp"
+    candidate = str(Path(runtime) / name)
+    if len(candidate.encode()) >= SUN_PATH_LIMIT:
+        candidate = str(Path("/tmp") / name)
+    return candidate
 
 
 def _connect(address: Address, timeout: Optional[float]) -> socket.socket:

@@ -1,13 +1,15 @@
-"""Multi-tenant TCP gateway (and shared front) for the solve engine.
+"""The solve server's one front: :class:`SolveGateway`.
 
-One engine, many remote clients.  :class:`StreamFront` is the
-transport-agnostic half: it speaks the JSON-lines protocol over any
-asyncio stream pair, validates requests *before* they reach the engine,
-applies the tenancy policy of :mod:`repro.server.tenancy`, and feeds
-one shared metrics surface.  :class:`SolveGateway` binds it to a TCP
-``asyncio.start_server``; :class:`repro.server.daemon.SolveDaemon`
-binds the same front to a unix socket, so both deployments expose
-identical ops and identical counters.
+One engine, many clients.  The gateway speaks the JSON-lines protocol
+on a TCP ``host:port`` (remote, multi-tenant traffic; ``python -m repro
+gateway``) or on a unix socket path (a per-user, single-host daemon;
+``python -m repro serve``).  Either bind validates requests *before*
+they reach the engine, applies the tenancy policy of
+:mod:`repro.server.tenancy`, and feeds one metrics surface, so both
+deployments expose identical ops and identical counters.  A long-lived
+front keeps executor workers, the result cache and warm imports alive
+across requests, so short-lived clients (``python -m repro submit``, CI
+hooks, notebook cells) pay none of that warmup per call.
 
 Wire protocol (one JSON object per line; the request is the first line
 of a connection)::
@@ -36,7 +38,10 @@ window or an exhausted tenant quota answers::
      "retry_after": 1.25, "error": "..."}
 
 and closes the connection — clients should sleep ``retry_after``
-seconds and resubmit.
+seconds and resubmit.  Writes go through ``drain()``, so a slow reader
+backpressures its own event stream without stalling other connections,
+and a client that disconnects mid-stream has its in-flight solves
+cancelled (see ``docs/failure-semantics.md``).
 """
 
 from __future__ import annotations
@@ -44,10 +49,12 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Any, Awaitable, Callable, Dict, Optional
+from pathlib import Path
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Union
 
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import ReproError, SolverError
+from repro.server.client import SUN_PATH_LIMIT
 from repro.server.engine import WORKER_CRASHED, AsyncSolveEngine
 from repro.server.tenancy import (
     HEALTH_DEGRADED,
@@ -88,34 +95,59 @@ SOLVE_OVERRIDES = (
 Sender = Callable[[Dict[str, Any]], Awaitable[None]]
 
 
+def _wire_list(
+    payload: Dict[str, Any], field: str, case_id: str, kind: type
+) -> List[Any]:
+    """``payload[field]`` when it is a list of ``kind`` (bools are not
+    ints here); anything else is one clean error.  A bare string is
+    refused rather than iterated, which would split it into
+    characters."""
+    value = payload[field]
+    if not isinstance(value, list) or not all(
+        isinstance(entry, kind) and not isinstance(entry, bool)
+        for entry in value
+    ):
+        raise SolverError(
+            f"case {case_id!r}: {field!r} must be a list of "
+            f"{kind.__name__}, got {value!r}"
+        )
+    return value
+
+
 def parse_case(payload: Dict[str, Any], index: int) -> BatchItem:
     """One wire case -> :class:`BatchItem`.
 
     Accepts ``rows`` (list of '0'/'1' strings, the pattern-file format)
-    or ``row_masks`` + ``num_cols`` (the compact form the cache and
-    batch workers use).  A missing ``case_id`` is synthesized from the
-    position.
+    or ``row_masks`` + ``num_cols`` (list of ints plus an int: the
+    compact form the cache and batch workers use), and an optional
+    per-case ``members`` list.  A missing ``case_id`` is synthesized
+    from the position.
     """
     if not isinstance(payload, dict):
         raise SolverError(f"case #{index} is not an object: {payload!r}")
     case_id = str(payload.get("case_id", f"case-{index:04d}"))
     if "rows" in payload:
-        matrix = BinaryMatrix.from_strings(list(payload["rows"]))
+        matrix = BinaryMatrix.from_strings(
+            _wire_list(payload, "rows", case_id, str)
+        )
     elif "row_masks" in payload and "num_cols" in payload:
+        num_cols = payload["num_cols"]
+        if isinstance(num_cols, bool) or not isinstance(num_cols, int):
+            raise SolverError(
+                f"case {case_id!r}: 'num_cols' must be an integer, "
+                f"got {num_cols!r}"
+            )
         matrix = BinaryMatrix(
-            [int(mask) for mask in payload["row_masks"]],
-            int(payload["num_cols"]),
+            _wire_list(payload, "row_masks", case_id, int), num_cols
         )
     else:
         raise SolverError(
             f"case {case_id!r} needs 'rows' or 'row_masks'+'num_cols'"
         )
-    members = payload.get("members")
-    return BatchItem(
-        case_id,
-        matrix,
-        None if members is None else tuple(str(m) for m in members),
-    )
+    members = None
+    if payload.get("members") is not None:
+        members = tuple(_wire_list(payload, "members", case_id, str))
+    return BatchItem(case_id, matrix, members)
 
 
 def validate_overrides(request: Dict[str, Any]) -> Dict[str, Any]:
@@ -199,24 +231,58 @@ def exact_backend_timed_out(result: PortfolioResult) -> bool:
     return False
 
 
-class StreamFront:
-    """JSON-lines request handling shared by the daemon and the gateway."""
+def check_socket_path(path: Union[str, Path]) -> None:
+    """Reject socket paths that overflow ``sun_path`` before binding, so
+    an overlong path is a clear :class:`SolverError` naming the fix, not
+    an ``OSError: AF_UNIX path too long`` from deep inside ``bind``."""
+    encoded = str(path).encode()
+    if len(encoded) >= SUN_PATH_LIMIT:
+        raise SolverError(
+            f"unix socket path is {len(encoded)} bytes, over the "
+            f"{SUN_PATH_LIMIT - 1}-byte AF_UNIX limit: {str(path)!r} "
+            "— pass a shorter --socket path (e.g. under /tmp)"
+        )
+
+
+class SolveGateway:
+    """Serve one :class:`AsyncSolveEngine` over TCP or a unix socket.
+
+    With ``socket_path`` the gateway binds that ``AF_UNIX`` path:
+    a stale socket file left by a dead server is reclaimed, a live one
+    is refused, and the file is removed at shutdown.  Otherwise it
+    binds TCP ``host:port``; ``port=0`` binds an ephemeral port and
+    :attr:`port` holds the bound value once :meth:`run` is listening
+    (tests and supervisors poll it).  A TCP gateway trusts its network
+    boundary as much as you do: bind ``127.0.0.1`` behind a TLS
+    terminator for anything public.
+
+    Without ``tenants``/``admission`` every caller is the anonymous
+    tenant and nothing is rejected.
+    """
 
     def __init__(
         self,
         engine: AsyncSolveEngine,
         *,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        socket_path: Optional[Union[str, Path]] = None,
         tenants: Optional[TenantRegistry] = None,
         admission: Optional[AdmissionController] = None,
         metrics: Optional[ServerMetrics] = None,
-        degraded: Optional[DegradedModeController] = None,
     ) -> None:
+        if isinstance(port, bool) or not 0 <= port <= 65535:
+            raise SolverError(f"TCP port must be in 0-65535, got {port!r}")
         self.engine = engine
+        self.host = host
+        self.port = port
+        self.socket_path = None if socket_path is None else Path(socket_path)
         self.tenants = tenants or TenantRegistry()
         self.admission = admission
         self.metrics = metrics or ServerMetrics()
-        self.degraded = degraded or DegradedModeController()
+        self.degraded = DegradedModeController()
         self._stop = asyncio.Event()
+        self._server: Optional[asyncio.AbstractServer] = None
 
     def request_shutdown(self) -> None:
         self._stop.set()
@@ -348,7 +414,7 @@ class StreamFront:
         return payload
 
     def metrics_dict(self) -> Dict[str, Any]:
-        """The one stats surface both fronts serve under ``metrics``."""
+        """The ``metrics`` op's payload (the same for both binds)."""
         engine_stats = self.engine.stats()
         payload = self.metrics.as_dict()
         payload["queue"] = (
@@ -563,32 +629,7 @@ class StreamFront:
                 )
 
 
-class SolveGateway(StreamFront):
-    """Serve the shared front over TCP for remote, multi-tenant traffic.
-
-    ``port=0`` binds an ephemeral port; :attr:`port` holds the bound
-    value once :meth:`run` is listening (tests and supervisors poll
-    it).  The gateway trusts its network boundary as much as you do:
-    bind ``127.0.0.1`` behind a TLS terminator for anything public.
-    """
-
-    def __init__(
-        self,
-        engine: AsyncSolveEngine,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        tenants: Optional[TenantRegistry] = None,
-        admission: Optional[AdmissionController] = None,
-        metrics: Optional[ServerMetrics] = None,
-    ) -> None:
-        super().__init__(
-            engine, tenants=tenants, admission=admission, metrics=metrics
-        )
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-
+    # ------------------------------------------------------------------
     async def run(
         self,
         *,
@@ -601,13 +642,20 @@ class SolveGateway(StreamFront):
         supervisors should report from here, not from the requested
         arguments.
         """
+        if self.socket_path is not None:
+            await self._claim_socket_path()
         self.engine.prewarm()
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self.port
-        )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+        if self.socket_path is None:
+            self._server = await asyncio.start_server(
+                self._handle, host=self.host, port=self.port
+            )
+            sockets = self._server.sockets or []
+            if sockets:
+                self.port = sockets[0].getsockname()[1]
+        else:
+            self._server = await asyncio.start_unix_server(
+                self._handle, path=str(self.socket_path)
+            )
         if on_ready is not None:
             on_ready(self)
         try:
@@ -615,50 +663,60 @@ class SolveGateway(StreamFront):
                 await self._stop.wait()
         finally:
             self._server = None
+            if self.socket_path is not None:
+                try:
+                    self.socket_path.unlink()
+                except OSError:
+                    pass
             self.engine.close()
 
-
-async def serve_gateway(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    tenants: Optional[TenantRegistry] = None,
-    admission: Optional[AdmissionController] = None,
-    on_ready: Optional[Callable[[SolveGateway], None]] = None,
-    **engine_options: Any,
-) -> None:
-    """Build an engine and serve it over TCP until shutdown."""
-    gateway = SolveGateway(
-        AsyncSolveEngine(**engine_options),
-        host=host,
-        port=port,
-        tenants=tenants,
-        admission=admission,
-    )
-    await gateway.run(on_ready=on_ready)
+    async def _claim_socket_path(self) -> None:
+        """Check the unix path; reclaim a dead server's leftover file."""
+        path = self.socket_path
+        check_socket_path(path)
+        if path.exists():
+            # Connect-refused stale files are safe to reclaim; a live
+            # server is not.
+            try:
+                _, writer = await asyncio.open_unix_connection(path=str(path))
+            except OSError:
+                path.unlink()
+            else:
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except OSError:
+                    pass
+                raise SolverError(f"another server is already serving {path}")
+        path.parent.mkdir(parents=True, exist_ok=True)
 
 
 def run_gateway(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
+    socket_path: Optional[Union[str, Path]] = None,
     tenants: Optional[TenantRegistry] = None,
     admission: Optional[AdmissionController] = None,
     on_ready: Optional[Callable[[SolveGateway], None]] = None,
     **engine_options: Any,
 ) -> int:
-    """Blocking entry point used by ``python -m repro gateway``."""
-    try:
-        asyncio.run(
-            serve_gateway(
-                host,
-                port,
-                tenants=tenants,
-                admission=admission,
-                on_ready=on_ready,
-                **engine_options,
-            )
+    """Blocking entry point of ``python -m repro serve`` and ``gateway``:
+    build an engine and serve it until shutdown."""
+
+    async def serve() -> None:
+        gateway = SolveGateway(
+            AsyncSolveEngine(**engine_options),
+            host=host,
+            port=port,
+            socket_path=socket_path,
+            tenants=tenants,
+            admission=admission,
         )
+        await gateway.run(on_ready=on_ready)
+
+    try:
+        asyncio.run(serve())
     except KeyboardInterrupt:
         pass
     return 0

@@ -1,13 +1,13 @@
 """Hash-prefix-sharded disk tier for the result cache.
 
-The single-file JSON tier rewrites the whole cache on every flush, so
-two batch runners sharing one cache file on a host would silently drop
-each other's entries (last writer wins).  This tier spreads entries over
-``16**prefix_len`` shard files keyed by the leading hex digits of the
-content hash, and makes every shard update a *merge* under an exclusive
-file lock followed by an atomic tempfile + ``os.replace`` — concurrent
-writers interleave per shard instead of clobbering each other, and a
-crash mid-write can never leave a torn shard behind.
+A single cache file rewritten whole on every flush would let two batch
+runners sharing it on a host silently drop each other's entries (last
+writer wins).  This tier spreads entries over ``16**prefix_len`` shard
+files keyed by the leading hex digits of the content hash, and makes
+every shard update a *merge* under an exclusive file lock followed by
+an atomic tempfile + ``os.replace`` — concurrent writers interleave
+per shard instead of clobbering each other, and a crash mid-write can
+never leave a torn shard behind.
 
 Locking uses ``fcntl.flock`` on a sidecar ``.lock`` file (never the
 shard itself: ``os.replace`` swaps inodes, and a lock on a replaced
@@ -15,9 +15,11 @@ inode protects nothing).  On platforms without ``fcntl`` the tier
 degrades to lock-free atomic replaces — still torn-proof, but
 concurrent merges may then lose races; the repo only targets POSIX.
 
-A :class:`ShardedDiskTier` pointed at an existing single-file JSON
-cache migrates it in place on first open: the file's entries are
-resharded into a directory of the same name.
+A :class:`ShardedDiskTier` pointed at a legacy single-file JSON cache
+(the layout older builds wrote) migrates it in place on first open: the
+file's entries are resharded into a directory of the same name.  This
+migration is the only reader of that layout; a torn legacy file is
+quarantined and the store starts cold.
 
 Since the cache-lifecycle work (see ``docs/cache-lifecycle.md``) the
 store is also *bounded* and *self-verifying*:
@@ -253,13 +255,11 @@ class StoreLimits:
 
 
 class ShardedDiskTier:
-    """Disk storage for :class:`repro.service.cache.ResultCache`.
+    """Disk tier of :class:`repro.service.cache.ResultCache`.
 
-    Implements the pluggable-storage protocol (``load`` / ``get`` /
-    ``store`` / ``location``): ``load`` returns nothing so the memory
-    tier starts cold and reads through per key, ``get`` fetches one
-    entry from its shard (verifying its integrity hash and TTL), and
-    ``store`` merges dirty entries into their shards under per-shard
+    ``get`` fetches one entry from its shard (verifying its integrity
+    hash and TTL) on a memory miss, and ``store`` merges the entries
+    written since the last flush into their shards under per-shard
     locks, maintains the index, and enforces the store caps.
     """
 
@@ -291,10 +291,6 @@ class ShardedDiskTier:
         self.limits = limits if limits is not None else StoreLimits()
 
     # -- layout --------------------------------------------------------
-    @property
-    def location(self) -> Path:
-        return self.root
-
     def shard_path(self, key: str) -> Path:
         prefix = key[: self.prefix_len].lower()
         if len(prefix) < self.prefix_len or any(
@@ -361,14 +357,23 @@ class ShardedDiskTier:
         try:
             with open(source) as stream:
                 payload = json.load(stream)
-        except (OSError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
+            # Torn/undecodable JSON is damage, not data: move it aside
+            # and start cold instead of failing every solve.  A foreign
+            # *type* below still raises — that is a healthy file the
+            # caller pointed us at by mistake, not corruption.
+            if quarantine_file(source, f"bad JSON: {exc}") is not None:
+                self.quarantined += 1
+            return
+        except OSError as exc:
             raise SolverError(
                 f"cannot migrate cache {source}: {exc}"
             ) from exc
-        if payload.get("type") != SINGLE_FILE_TYPE:
+        kind = payload.get("type") if isinstance(payload, dict) else None
+        if kind != SINGLE_FILE_TYPE:
             raise SolverError(
                 f"{source} is not a portfolio cache "
-                f"(type={payload.get('type')!r}); refusing to migrate"
+                f"(type={kind!r}); refusing to migrate"
             )
         if source is path:
             os.replace(path, sidecar)
@@ -524,11 +529,7 @@ class ShardedDiskTier:
                 self._write_shard(shard, merged, meta)
         return written
 
-    # -- storage protocol ----------------------------------------------
-    def load(self) -> Dict[str, Dict[str, Any]]:
-        """Nothing eagerly: shards are read through per key."""
-        return {}
-
+    # -- read / write --------------------------------------------------
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         shard = self.shard_path(key)
         with locked_file(self._lock_path(shard)):
@@ -589,18 +590,10 @@ class ShardedDiskTier:
                 reason,
             )
 
-    def store(
-        self,
-        entries: Mapping[str, Dict[str, Any]],
-        dirty: Optional[Set[str]] = None,
-    ) -> None:
-        """Merge ``entries`` (restricted to ``dirty`` keys) into shards,
-        fold the new metadata + batched access stamps into the index,
-        and enforce the store caps (which may trigger a GC pass)."""
-        if dirty is not None:
-            entries = {
-                key: entries[key] for key in dirty if key in entries
-            }
+    def store(self, entries: Mapping[str, Dict[str, Any]]) -> None:
+        """Merge ``entries`` into their shards, fold the new metadata +
+        batched access stamps into the index, and enforce the store caps
+        (which may trigger a GC pass)."""
         written: Dict[str, Dict[str, Any]] = {}
         if entries:
             written = self._merge(entries)

@@ -1,6 +1,7 @@
-"""Multi-tenant traffic policy for the solve fronts.
+"""Multi-tenant traffic policy for the solve gateway.
 
-The daemon and the TCP gateway multiplex many clients onto one shared
+:class:`repro.server.gateway.SolveGateway` multiplexes many clients,
+over TCP or a unix socket, onto one shared
 :class:`repro.server.engine.AsyncSolveEngine`; this module is the
 policy layer that keeps them from starving each other:
 
@@ -13,8 +14,8 @@ policy layer that keeps them from starving each other:
   once, at most ``max_waiting`` wait behind them, and everything beyond
   that is rejected *immediately* with a structured ``retry_after``
   estimate instead of queueing unboundedly;
-* :class:`ServerMetrics` — the shared counters both fronts report
-  through their ``stats``/``metrics`` ops (connection gauge + lifetime
+* :class:`ServerMetrics` — the counters the gateway reports through
+  its ``stats``/``metrics`` ops (connection gauge + lifetime
   counter, requests, rejections, per-tenant usage).
 
 Rejections raise :class:`RequestRejected`, whose :meth:`~RequestRejected
@@ -23,8 +24,8 @@ Rejections raise :class:`RequestRejected`, whose :meth:`~RequestRejected
     {"event": "error", "code": "saturated", "retry_after": 1.25,
      "error": "..."}
 
-Everything here is event-loop confined (no locks): both fronts call it
-only from their serving loop.
+Everything here is event-loop confined (no locks): the gateway calls it
+only from its serving loop.
 """
 
 from __future__ import annotations
@@ -193,8 +194,8 @@ class TenantRegistry:
     """Resolve request identities to live tenant state.
 
     Unknown tenants either materialize lazily under ``default`` policy
-    (``allow_unknown=True``, the daemon's open-door default) or are
-    rejected outright (the locked-down gateway deployment).
+    (``allow_unknown=True``, the open-door default) or are rejected
+    outright (a locked-down multi-tenant deployment).
     """
 
     def __init__(
@@ -565,12 +566,11 @@ class DegradedModeController:
 # ----------------------------------------------------------------------
 @dataclass
 class ServerMetrics:
-    """Counters both fronts feed and report (one stats surface).
+    """Counters the gateway feeds and reports (one stats surface).
 
     ``connections_active`` is a gauge (incremented on accept,
     decremented in the handler's ``finally``); ``connections_total`` is
-    the lifetime counter — the split the old daemon's single
-    ever-growing ``connections`` field conflated.
+    the lifetime counter.
     """
 
     connections_active: int = 0

@@ -21,8 +21,6 @@ from repro.service.batch import (
 from repro.service.budget import PortfolioBudget
 from repro.service.cache import (
     CacheStats,
-    CacheStorage,
-    JsonFileTier,
     ResultCache,
     matrix_key,
 )
@@ -47,10 +45,8 @@ __all__ = [
     "BatchItem",
     "BatchRecord",
     "CacheStats",
-    "CacheStorage",
     "DEFAULT_PORTFOLIO",
     "EXACT_MEMBERS",
-    "JsonFileTier",
     "MemberOutcome",
     "PortfolioBudget",
     "PortfolioResult",

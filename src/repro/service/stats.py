@@ -1,7 +1,6 @@
-"""Per-solver win accounting shared by the server fronts and the scoreboard.
+"""Per-solver win accounting shared by the solve server and the scoreboard.
 
-The daemon and gateway ``metrics`` ops report which portfolio member
-wins how often (:meth:`repro.server.engine.AsyncSolveEngine.stats`);
+The gateway ``metrics`` op reports which portfolio member wins how often (:meth:`repro.server.engine.AsyncSolveEngine.stats`);
 the corpus scoreboard reports the same thing for an offline corpus run.
 Both feed one counter class so the two surfaces can never drift apart
 in shape or semantics: a *win* is one non-cached solve whose resolved

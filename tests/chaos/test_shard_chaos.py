@@ -56,14 +56,16 @@ class TestCorruptShardOnWrite:
         assert reader.stats.quarantines == 1
 
     def test_single_file_tier_quarantines_on_load(self, tmp_path):
+        # A torn legacy single-file cache: the migration moves it aside
+        # and the store starts cold, like a torn shard.
         path = tmp_path / "cache.json"
-        cache = ResultCache(path=path)
-        cache.put(MATRIX, _result())
-        cache.flush()
         path.write_text('{"version": 1, "type": "portfolio_')  # truncate
 
-        reopened = ResultCache(path=path)
+        reopened = ResultCache.sharded(path)
         assert reopened.get(MATRIX) is None
         assert reopened.stats.quarantines == 1
-        assert not path.exists()
+        assert path.is_dir()  # the store started cold in its place
         assert list(tmp_path.glob("cache.json.corrupt-*"))
+        reopened.put(MATRIX, _result())
+        reopened.flush()
+        assert ResultCache.sharded(path).get(MATRIX) is not None

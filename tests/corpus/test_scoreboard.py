@@ -47,7 +47,7 @@ class TestScoring:
         assert row.lower_bound == 4
 
     def test_tally_matches_engine_metrics_shape(self):
-        """The scoreboard emits the exact wire shape the daemon/gateway
+        """The scoreboard emits the exact wire shape the gateway
         ``metrics`` op exposes — one vocabulary for both surfaces."""
         report = smoke_report()
         payload = report.tally.as_dict()
@@ -76,7 +76,7 @@ class TestScoring:
 
 class TestCaching:
     def test_cache_hits_do_not_inflate_the_tally(self, tmp_path):
-        cache = ResultCache(path=tmp_path / "cache.json")
+        cache = ResultCache.sharded(tmp_path / "cache")
         first = smoke_report(cache=cache)
         assert first.tally.solved == len(first.rows)
         second = smoke_report(cache=cache)

@@ -208,3 +208,105 @@ class TestRender:
         text = out_path.read_text()
         assert text.startswith("<svg")
         assert "depth-3 partition (optimal)" in capsys.readouterr().out
+
+
+def _start_server(argv, tmp_path):
+    """``python -m repro ARGV`` as a child; returns it and its banner."""
+    import os
+    import select
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    with open(tmp_path / "server.stderr", "wb") as stderr:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            env=env,
+        )
+    ready, _, _ = select.select([process.stdout], [], [], 60)
+    banner = process.stdout.readline().decode() if ready else ""
+    if not banner:
+        process.kill()
+        process.wait(timeout=10)
+        pytest.fail(
+            "server printed no banner: "
+            + (tmp_path / "server.stderr").read_text()
+        )
+    return process, banner
+
+
+def _stop_server(process, address) -> None:
+    from repro.core.exceptions import SolverError
+    from repro.server import client
+
+    try:
+        client.request_once(address, {"op": "shutdown"}, timeout=10)
+        assert process.wait(timeout=30) == 0
+    except (SolverError, OSError):
+        process.kill()
+        process.wait(timeout=10)
+        raise
+    finally:
+        process.stdout.close()
+
+
+class TestServe:
+    """``serve``/``gateway`` as real processes, driven by ``submit`` and
+    ``health``: the second submit of a pattern is a cache hit."""
+
+    MEMBERS = "trivial,packing:4"
+
+    def _round_trip(self, target, pattern_file, capsys):
+        name = pattern_file
+        assert main(["submit", pattern_file, *target]) == 0
+        assert f"{name}: depth 3 (solved)" in capsys.readouterr().out
+        assert main(["submit", pattern_file, *target]) == 0
+        assert f"{name}: depth 3 (cache)" in capsys.readouterr().out
+        assert main(["health", *target]) == 0
+        assert '"status": "ready"' in capsys.readouterr().out
+
+    def test_serve_on_unix_socket(self, pattern_file, tmp_path, capsys):
+        socket_path = str(tmp_path / "solve.sock")
+        cache_dir = tmp_path / "cache"
+        process, banner = _start_server(
+            ["serve", "--socket", socket_path, "--members", self.MEMBERS,
+             "--cache", str(cache_dir)],
+            tmp_path,
+        )
+        try:
+            assert banner.startswith(f"serving on {socket_path} ")
+            self._round_trip(["--socket", socket_path], pattern_file, capsys)
+        finally:
+            _stop_server(process, socket_path)
+        assert list(cache_dir.glob("shard-*.json"))  # flushed at shutdown
+
+    def test_gateway_on_tcp_port(self, pattern_file, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        process, banner = _start_server(
+            ["gateway", "--host", "127.0.0.1", "--port", "0",
+             "--members", self.MEMBERS, "--cache", str(cache_dir)],
+            tmp_path,
+        )
+        assert banner.startswith("gateway on 127.0.0.1:")
+        port = int(banner.split()[2].rsplit(":", 1)[1])
+        address = f"tcp://127.0.0.1:{port}"
+        try:
+            self._round_trip(["--connect", address], pattern_file, capsys)
+        finally:
+            _stop_server(process, ("127.0.0.1", port))
+        assert list(cache_dir.glob("shard-*.json"))
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_out_of_range_exits_cleanly(self, port, capsys):
+        assert main(["gateway", "--port", port]) == 2
+        assert "error: TCP port must be in 0-65535" in capsys.readouterr().err

@@ -1,8 +1,9 @@
-"""Daemon/client round trips over a real unix socket.
+"""Gateway/client round trips over a real unix socket.
 
-The daemon runs on a background thread's event loop (exactly how
-``python -m repro serve`` hosts it) while the synchronous client talks
-to it from the test thread — the same topology as production.
+The gateway binds a unix socket path (exactly what ``python -m repro
+serve`` starts) on a background thread's event loop while the
+synchronous client talks to it from the test thread — the same
+topology as production.
 """
 
 import asyncio
@@ -15,13 +16,9 @@ import pytest
 
 from repro.core.paper_matrices import equation_2, figure_1b, figure_3
 from repro.server import client
-from repro.server.daemon import (
-    SolveDaemon,
-    check_socket_path,
-    default_socket_path,
-    parse_case,
-)
+from repro.server.client import default_socket_path
 from repro.server.engine import AsyncSolveEngine
+from repro.server.gateway import SolveGateway, check_socket_path, parse_case
 from repro.core.exceptions import SolverError
 
 MEMBERS = ("trivial", "packing:4", "sap")
@@ -29,12 +26,10 @@ MEMBERS = ("trivial", "packing:4", "sap")
 
 @pytest.fixture
 def daemon(tmp_path):
-    """A live daemon on a tmp socket; torn down via the shutdown op."""
-    import asyncio
-
+    """A live gateway on a tmp socket; torn down via the shutdown op."""
     socket_path = tmp_path / "solve.sock"
     engine = AsyncSolveEngine(members=MEMBERS, seed=7, workers=2)
-    instance = SolveDaemon(socket_path, engine)
+    instance = SolveGateway(engine, socket_path=socket_path)
 
     def run() -> None:
         asyncio.run(instance.run())
@@ -163,8 +158,9 @@ class TestSocketPaths:
 
     def test_daemon_refuses_overlong_path_before_binding(self, tmp_path):
         deep = tmp_path / ("x" * 120) / "solve.sock"
-        daemon = SolveDaemon(
-            deep, AsyncSolveEngine(members=("trivial",), workers=1)
+        daemon = SolveGateway(
+            AsyncSolveEngine(members=("trivial",), workers=1),
+            socket_path=deep,
         )
         with pytest.raises(SolverError, match="AF_UNIX"):
             asyncio.run(daemon.run())
@@ -187,9 +183,9 @@ class TestSocketPaths:
         stale.close()
         assert socket_path.exists()
 
-        daemon = SolveDaemon(
-            socket_path,
+        daemon = SolveGateway(
             AsyncSolveEngine(members=("trivial",), workers=1),
+            socket_path=socket_path,
         )
         thread = threading.Thread(
             target=lambda: asyncio.run(daemon.run()), daemon=True
@@ -217,8 +213,9 @@ class TestSocketPaths:
             thread.join(timeout=10)
 
     def test_live_socket_is_not_stolen(self, daemon):
-        second = SolveDaemon(
-            daemon, AsyncSolveEngine(members=("trivial",), workers=1)
+        second = SolveGateway(
+            AsyncSolveEngine(members=("trivial",), workers=1),
+            socket_path=daemon,
         )
         with pytest.raises(SolverError, match="already serving"):
             asyncio.run(second.run())
@@ -240,6 +237,36 @@ class TestWireParsing:
             parse_case({"case_id": "x"}, 0)
         with pytest.raises(SolverError):
             parse_case("not-an-object", 0)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            {"rows": "110"},  # a string, not a list of rows
+            {"rows": [110, 11]},
+            {"row_masks": "12", "num_cols": 2},
+            {"row_masks": [3, True], "num_cols": 2},
+            {"row_masks": [1, 1], "num_cols": True},
+            {"row_masks": [3, 1], "num_cols": "2"},
+            {"rows": ["10", "01"], "members": "sap"},
+            {"rows": ["10", "01"], "members": ["trivial", 7]},
+        ],
+    )
+    def test_parse_case_rejects_non_list_fields(self, case):
+        # Strings used to be iterated ("sap" -> members ('s','a','p'),
+        # "110" -> a 3x1 column) and bools passed as ints.
+        with pytest.raises(SolverError):
+            parse_case(case, 0)
+
+    def test_non_list_rows_get_one_error_line(self, daemon):
+        events = list(
+            client.stream_request(
+                daemon,
+                {"op": "solve", "cases": [{"case_id": "a", "rows": "110"}]},
+                timeout=10,
+            )
+        )
+        assert [e["event"] for e in events] == ["error"]
+        assert "'rows' must be a list" in events[0]["error"]
 
     def test_client_reports_missing_daemon(self, tmp_path):
         with pytest.raises(SolverError, match="cannot reach"):

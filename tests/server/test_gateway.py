@@ -1,8 +1,8 @@
 """Gateway round trips over real TCP connections.
 
-Same topology as ``test_daemon.py`` — the server on a background
-thread's event loop, the synchronous client in the test thread — but
-over TCP with the tenancy policy engaged.  The process-executor test is
+Same topology as ``test_daemon.py`` (which binds a unix socket) — the
+server on a background thread's event loop, the synchronous client in
+the test thread — but over TCP with the tenancy policy engaged.  The process-executor test is
 the acceptance path for the streaming bugfix: ``member_finished``
 events must cross the process boundary and reach a remote client
 *before* that case's ``done``.

@@ -14,8 +14,8 @@ import pytest
 from repro.core.binary_matrix import BinaryMatrix
 from repro.core.exceptions import SolverError
 from repro.server.shards import ShardedDiskTier, atomic_write_json
-from repro.service.cache import ResultCache
-from repro.service.portfolio import solve_portfolio
+from repro.service.cache import ResultCache, matrix_key
+from repro.service.portfolio import result_to_dict, solve_portfolio
 
 MEMBERS = ("trivial", "packing:2")
 
@@ -33,6 +33,22 @@ def _write_entries(root: str, start: int, count: int) -> None:
     tier = ShardedDiskTier(root)
     for index in range(start, start + count):
         tier.store({_key(f"entry-{index}"): _payload(f"entry-{index}")})
+
+
+def _legacy_results_file(path, results) -> None:
+    """Write results in the single-file layout older builds used."""
+    path.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "type": "portfolio_cache",
+                "entries": {
+                    matrix_key(matrix): result_to_dict(result)
+                    for matrix, result in results.items()
+                },
+            }
+        )
+    )
 
 
 class TestTierBasics:
@@ -55,10 +71,27 @@ class TestTierBasics:
         assert ShardedDiskTier(root).keys() == {_key("a"), _key("b")}
 
     def test_dirty_filter_restricts_writes(self, tmp_path):
-        tier = ShardedDiskTier(tmp_path / "cache")
-        entries = {_key("a"): _payload("a"), _key("b"): _payload("b")}
-        tier.store(entries, dirty={_key("a")})
-        assert tier.keys() == {_key("a")}
+        """A flush hands the tier only the entries put since the last
+        flush; clean entries (already flushed, or read from disk) are
+        never rewritten."""
+        root = tmp_path / "cache"
+        old, fresh = (BinaryMatrix([(1 << n) - 1], n) for n in (1, 2))
+        seed = ResultCache.sharded(root)
+        seed.put(old, solve_portfolio(old, members=MEMBERS, seed=7))
+        seed.flush()
+
+        cache = ResultCache.sharded(root)
+        assert cache.get(old) is not None  # disk hit, clean in memory
+        cache.put(fresh, solve_portfolio(fresh, members=MEMBERS, seed=7))
+        written = []
+        store = cache.storage.store
+        cache.storage.store = lambda entries: (
+            written.append(set(entries)), store(entries)
+        )
+        cache.flush()
+        cache.flush()
+        assert written == [{matrix_key(fresh)}, set()]
+        assert cache.storage.keys() == {matrix_key(old), matrix_key(fresh)}
 
     def test_no_temp_files_left_behind(self, tmp_path):
         tier = ShardedDiskTier(tmp_path / "cache")
@@ -117,16 +150,14 @@ class TestTierBasics:
 class TestMigration:
     def test_single_file_cache_migrates_in_place(self, tmp_path):
         path = tmp_path / "cache.json"
-        legacy = ResultCache(capacity=8, path=path)
         matrices = [
             BinaryMatrix([(1 << n) - 1], n) for n in (1, 2, 3)
         ]
-        results = {}
-        for matrix in matrices:
-            result = solve_portfolio(matrix, members=MEMBERS, seed=7)
-            legacy.put(matrix, result)
-            results[matrix] = result
-        legacy.flush()
+        results = {
+            matrix: solve_portfolio(matrix, members=MEMBERS, seed=7)
+            for matrix in matrices
+        }
+        _legacy_results_file(path, results)
         assert path.is_file()
 
         sharded = ResultCache.sharded(path, capacity=8)
@@ -153,11 +184,9 @@ class TestMigration:
         """A crash between the rename-aside and the shard writes leaves
         the `.migrating` sidecar; the next open finishes the job."""
         path = tmp_path / "cache.json"
-        legacy = ResultCache(capacity=8, path=path)
         matrix = BinaryMatrix([0b11, 0b01], 2)
         result = solve_portfolio(matrix, members=MEMBERS, seed=7)
-        legacy.put(matrix, result)
-        legacy.flush()
+        _legacy_results_file(path, {matrix: result})
         # Simulate the crash point: file moved aside, no shards yet.
         path.rename(tmp_path / "cache.json.migrating")
 

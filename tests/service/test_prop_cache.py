@@ -117,13 +117,13 @@ class TestDiskTier:
     @given(binary_matrices())
     @settings(max_examples=15)
     def test_disk_round_trip_preserves_results(self, tmp_path_factory, matrix):
-        path = tmp_path_factory.mktemp("cache") / "cache.json"
-        cache = ResultCache(capacity=8, path=path)
+        root = tmp_path_factory.mktemp("cache") / "cache"
+        cache = ResultCache.sharded(root, capacity=8)
         result = _solve(matrix)
         cache.put(matrix, result)
         cache.flush()
 
-        reloaded = ResultCache(capacity=8, path=path)
+        reloaded = ResultCache.sharded(root, capacity=8)
         hit = reloaded.get(matrix)
         assert hit is not None
         assert hit.partition == result.partition
@@ -134,34 +134,9 @@ class TestDiskTier:
             == result.provenance(include_timing=False)["members"]
         )
 
-    def test_reload_respects_capacity(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = ResultCache(capacity=8, path=path)
-        for n in range(1, 6):
-            matrix = BinaryMatrix([(1 << n) - 1], n)
-            cache.put(matrix, _solve(matrix))
-        cache.flush()
-        small = ResultCache(capacity=2, path=path)
-        assert len(small) == 2
-        assert small.stats.evictions == 3
-
-    def test_round_trip_preserves_lru_order(self, tmp_path):
-        """Recency (not hash order) decides evictions after a reload."""
-        path = tmp_path / "cache.json"
-        cache = ResultCache(capacity=8, path=path)
-        matrices = [BinaryMatrix([(1 << n) - 1], n) for n in (1, 2, 3)]
-        for matrix in matrices:
-            cache.put(matrix, _solve(matrix))
-        assert cache.get(matrices[0]) is not None  # oldest becomes hottest
-        cache.flush()
-        reloaded = ResultCache(capacity=2, path=path)
-        # capacity 2 keeps the two most recent: matrices[2], matrices[0]
-        assert reloaded.get(matrices[0]) is not None
-        assert reloaded.get(matrices[2]) is not None
-        assert reloaded.get(matrices[1]) is None
-
     def test_rejects_foreign_payload(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"type": "something_else", "entries": {}}')
         with pytest.raises(SolverError):
-            ResultCache(path=path)
+            ResultCache.sharded(path)
+        assert path.is_file()  # untouched
